@@ -107,17 +107,10 @@ def _dist_from(args) -> WrightPoisson:
 
 def cmd_pmf(args) -> int:
     d = _dist_from(args)
-    rows = []
-    p = d.pmf(0)
-    c = p
-    for r in range(args.r_max + 1):
-        if r > 0:
-            p = d.pmf_recurrence_step(r - 1, p)
-            c += p
-        rows.append([r, float(p), float(c)])
+    rows = [[r, d.pmf(r), d.cdf(r)] for r in range(args.r_max + 1)]
     _render(args.format, ["r", "pmf", "cdf"], rows, args.out)
     if args.format == "table":
-        sys.stderr.write(f"final cdf: {_fmt(c)}\n")
+        sys.stderr.write(f"final cdf: {_fmt(rows[-1][2])}\n")
     return EXIT_OK
 
 

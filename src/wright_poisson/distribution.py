@@ -5,6 +5,10 @@ Z = sum_k m^k / Gamma(alpha k + beta), the two-parameter Mittag-Leffler
 series at m (equivalently a 1Psi1 Wright series). alpha = beta = 1
 recovers the classical Poisson law.
 
+Every pmf value is evaluated directly from its logarithm, so none
+depends on pmf(0), which underflows for large m. cdf, quantile, sample
+and support_pmf read one table over the support, built on first use.
+
 Moments come in three flavors each: a brute-force series over the pmf,
 and two closed forms (Wright-series differences, and shifted
 Mittag-Leffler combinations). The closed-form "second moment" routines
@@ -14,10 +18,12 @@ return the raw E[X^2]; variance is derived as E[X^2] - mean^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special as sc
 
 from .special import (
@@ -85,16 +91,24 @@ class WrightPoisson:
     log_normalizer: float
     ctrl: SeriesControl
 
+    # pmf and cdf arrays over the support, one pair per mass tolerance,
+    # built on first use
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
     # -- pmf / cdf ----------------------------------------------------
+
+    def _log_pmf(self, r):
+        """log pmf at an integer or at an array of integers."""
+        return (
+            r * math.log(self.m)
+            - sc.gammaln(self.alpha * r + self.beta)
+            - self.log_normalizer
+        )
 
     def log_pmf(self, r: int) -> float:
         if r < 0:
             raise DomainError("r must be a nonnegative integer")
-        return (
-            r * math.log(self.m)
-            - float(sc.gammaln(self.alpha * r + self.beta))
-            - self.log_normalizer
-        )
+        return float(self._log_pmf(r))
 
     def pmf(self, r: int) -> float:
         return math.exp(self.log_pmf(r))
@@ -112,52 +126,56 @@ class WrightPoisson:
         return math.exp(dlg + math.log(self.m)) * pmf_r
 
     def cdf(self, r: int) -> float:
+        """P(X <= r); past the end of the support table, its total mass."""
         if r < 0:
             raise DomainError("r must be a nonnegative integer")
-        p = self.pmf(0)
-        total = p
-        for k in range(int(r)):
-            p = self.pmf_recurrence_step(k, p)
-            total += p
-        return total
+        cdf = self._support()[1]
+        return float(cdf[min(int(r), cdf.size - 1)])
 
     def quantile(self, p: float) -> int:
         if not (0.0 <= p < 1.0):
             raise DomainError("quantile requires p in [0, 1)")
-        prob = self.pmf(0)
-        total = prob
-        r = 0
-        while total < p:
-            prob = self.pmf_recurrence_step(r, prob)
-            total += prob
-            r += 1
-            if r > _SUPPORT_CAP:
-                raise NonConvergenceError("quantile walk exceeded support cap")
+        cdf = self._support()[1]
+        r = int(np.searchsorted(cdf, p, side="left"))
+        if r == cdf.size:
+            raise NonConvergenceError(
+                f"p = {p} lies above the tabulated mass {cdf[-1]!r}"
+            )
         return r
 
-    # -- support walks ------------------------------------------------
+    # -- support table ------------------------------------------------
+
+    def _mass_floor(self, mass_tol: float) -> float:
+        """Cumulative mass that marks the bulk as summed. One ulp of log Z
+        is the relative error of every pmf value, and so of their total."""
+        return 1.0 - mass_tol - math.ulp(self.log_normalizer)
+
+    def _support(self, mass_tol: float = _MASS_TOL):
+        """(pmf, cdf) over 0..R, R the first r whose cdf reaches the mass
+        floor while the next _LOOKAHEAD pmf values sum below _TAIL_ATOL."""
+        table = self._tables.get(mass_tol)
+        if table is not None:
+            return table
+        floor = self._mass_floor(mass_tol)
+        size = 64
+        while True:
+            pmf = np.exp(self._log_pmf(np.arange(size)))
+            cdf = np.cumsum(pmf)
+            # tail[r] = pmf(r+1) + ... + pmf(r+_LOOKAHEAD)
+            tail = sliding_window_view(pmf[1:], _LOOKAHEAD).sum(axis=1)
+            ends = np.flatnonzero((cdf[: tail.size] >= floor) & (tail < _TAIL_ATOL))
+            if ends.size:
+                end = int(ends[0]) + 1
+                table = self._tables[mass_tol] = (pmf[:end], cdf[:end])
+                return table
+            if size > _SUPPORT_CAP:
+                raise NonConvergenceError("support table exceeded cap")
+            size = min(2 * size, _SUPPORT_CAP + _LOOKAHEAD + 1)
 
     def support_pmf(self, mass_tol: float = _MASS_TOL) -> np.ndarray:
         """pmf values 0..R where R is the 1 - mass_tol cutoff (with a
         16-term lookahead confirming the tail is dead)."""
-        vals = [self.pmf(0)]
-        total = vals[0]
-        r = 0
-        while True:
-            if total >= 1.0 - mass_tol:
-                tail = 0.0
-                p = vals[-1]
-                for j in range(_LOOKAHEAD):
-                    p = self.pmf_recurrence_step(r + j, p)
-                    tail += p
-                if tail < _TAIL_ATOL:
-                    return np.asarray(vals)
-            p = self.pmf_recurrence_step(r, vals[-1])
-            vals.append(p)
-            total += p
-            r += 1
-            if r > _SUPPORT_CAP:
-                raise NonConvergenceError("support walk exceeded cap")
+        return self._support(mass_tol)[0].copy()
 
     def expectation(self, weight: Callable[[int], float]) -> float:
         """sum_r weight(r) * pmf(r), stopped once the cumulative mass is
@@ -167,28 +185,26 @@ class WrightPoisson:
         sum continues well past the mass cutoff until the weighted
         contributions themselves die out.
         """
+        floor = self._mass_floor(_MASS_TOL)
+        pmf = np.empty(0)
         partial = 0.0
         mass = 0.0
-        p = self.pmf(0)
-        window: list = []
-        r = 0
-        while True:
+        window: deque = deque(maxlen=_LOOKAHEAD)
+        for r in range(self.ctrl.max_terms + 1):
+            if r == pmf.size:
+                pmf = np.exp(self._log_pmf(np.arange(max(64, 2 * r))))
+            p = float(pmf[r])
             c = weight(r) * p
             partial += c
             mass += p
             window.append(abs(c))
-            if len(window) > _LOOKAHEAD:
-                window.pop(0)
             if (
                 r >= _LOOKAHEAD
-                and mass >= 1.0 - _MASS_TOL
+                and mass >= floor
                 and sum(window) <= self.ctrl.rel_tol * max(abs(partial), 1.0)
             ):
                 return partial
-            p = self.pmf_recurrence_step(r, p)
-            r += 1
-            if r > self.ctrl.max_terms:
-                raise NonConvergenceError("moment series exceeded max_terms")
+        raise NonConvergenceError("moment series exceeded max_terms")
 
     # -- moments ------------------------------------------------------
 
@@ -281,8 +297,7 @@ class WrightPoisson:
         """n i.i.d. draws by CDF inversion; deterministic given seed."""
         if n < 1:
             raise DomainError("sample requires n >= 1")
-        pmf = self.support_pmf()
-        cdf = np.cumsum(pmf)
+        cdf = self._support()[1]
         rng = np.random.default_rng(seed)
         u = rng.random(n)
         # u above the tabulated mass clamps to the last support point

@@ -60,7 +60,13 @@ class CountData:
 
     @classmethod
     def from_counts(cls, counts) -> "CountData":
-        arr = np.asarray(counts, dtype=np.int64)
+        arr = np.asarray(counts)
+        if arr.dtype.kind == "f":
+            # integral floats are accepted, as load_counts accepts "3.0"
+            bad = arr[~np.isfinite(arr) | (arr != np.trunc(arr))]
+            if bad.size:
+                raise ParseError(f"{float(bad[0])!r} is not an integer count")
+        arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 1 or arr.size == 0:
             raise ParseError("need at least one observation")
         if np.any(arr < 0):

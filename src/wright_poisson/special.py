@@ -1,8 +1,8 @@
 """Scalar special functions: gamma helpers, generalized Wright series,
 and the Mittag-Leffler family.
 
-All series are evaluated term-by-term in log space and accumulated in
-linear space with a running rescale, so very large normalizers stay
+Every series goes through one numpy evaluator that sums a block of
+log-space terms scaled by their peak, so very large normalizers stay
 representable through their logarithm even when the linear value would
 overflow. Terms whose lower gamma argument sits on a pole of the gamma
 function contribute exactly zero.
@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
+import numpy as np
 from scipy import special as sc
 
 __all__ = [
@@ -39,9 +40,8 @@ __all__ = [
 # absolute tolerance for snapping a gamma argument onto a pole
 _POLE_ATOL = 1e-12
 
-# rescale thresholds for the linear accumulator
-_ACC_LIMIT = 1e280
-_LOG_EXP_LIMIT = 690.0
+# terms in the first block of a series; each further block doubles it
+_FIRST_BLOCK = 32
 
 
 class DomainError(ValueError):
@@ -64,9 +64,10 @@ def exp_saturating(x: float) -> float:
         return math.inf
 
 
-def _is_gamma_pole(x: float) -> bool:
-    r = round(x)
-    return r <= 0 and abs(x - r) <= _POLE_ATOL
+def _is_gamma_pole(x):
+    """True where x (a float or an array) is a pole of the gamma function."""
+    r = np.round(x)
+    return (r <= 0) & (np.abs(x - r) <= _POLE_ATOL)
 
 
 @dataclass(frozen=True)
@@ -148,95 +149,98 @@ def wright_convergence_index(spec: WrightSpec) -> float:
     return sum(w for _, w in spec.lower) - sum(w for _, w in spec.upper)
 
 
-def _log_gamma_signed(x: float):
-    """(log|Gamma(x)|, sign) away from poles; caller handles poles."""
-    return float(sc.gammaln(x)), float(sc.gammasgn(x))
+def _power(z: float, k: np.ndarray):
+    """log|z^k| and the sign of z^k over the indices k, with 0^0 = 1."""
+    sign = np.where(k % 2 == 1, -1.0, 1.0) if z < 0.0 else 1.0
+    return sc.xlogy(k, abs(z)), sign
 
 
-def _wright_term_log(spec: WrightSpec, k: int):
-    """Log-magnitude and sign of term k, or None when a lower-gamma pole
-    zeroes the term. Raises DomainError on an upper-gamma pole."""
-    if spec.z == 0.0 and k > 0:
-        return None
-    sign = 1.0
+def _lower_gamma(logmag, sign, arg):
+    """Divide the terms by Gamma(arg). Gamma is positive and finite for
+    arg > 0; at and below 0 it takes signs, and its poles kill terms."""
+    logmag = logmag - sc.gammaln(arg)
+    if arg.min() <= _POLE_ATOL:
+        pole = _is_gamma_pole(arg)
+        logmag = np.where(pole, -np.inf, logmag)
+        sign = sign * np.where(pole, 1.0, sc.gammasgn(arg))
+    return logmag, sign
+
+
+def _wright_log_terms(spec: WrightSpec, k: np.ndarray):
+    """Log-magnitudes and signs of the terms k; sign nan marks a term
+    whose upper gamma argument sits on a pole."""
     upper_sum = 0.0
+    sign = 1.0
+    upper_pole = False
     for a, al in spec.upper:
         arg = a + al * k
-        if _is_gamma_pole(arg):
-            raise DomainError(
-                f"upper gamma argument {arg} hits a pole at term k={k}"
-            )
-        lg, sg = _log_gamma_signed(arg)
-        upper_sum += lg
-        sign *= sg
-    # subtract the k! log right after the upper sum: for the common
-    # (1, 1) upper row the two cancel exactly, term by term
-    logmag = upper_sum - float(sc.gammaln(k + 1))
-    if spec.z != 0.0:
-        logmag += k * math.log(abs(spec.z))
-        if spec.z < 0.0 and k % 2 == 1:
-            sign = -sign
+        upper_pole = upper_pole | _is_gamma_pole(arg)
+        upper_sum = upper_sum + sc.gammaln(arg)
+        sign = sign * sc.gammasgn(arg)
+    logz, zsign = _power(spec.z, k)
+    with np.errstate(invalid="ignore"):
+        # subtract the k! log right after the upper sum: for the common
+        # (1, 1) upper row the two cancel exactly, term by term
+        logmag = np.where(upper_pole, -np.inf, upper_sum - sc.gammaln(k + 1) + logz)
+    # a term that z^k = 0 kills is 0 whatever its upper gammas are
+    sign = np.where(logz > -np.inf, np.where(upper_pole, np.nan, sign * zsign), 0.0)
     for b, be in spec.lower:
-        arg = b + be * k
-        if _is_gamma_pole(arg):
-            return None
-        lg, sg = _log_gamma_signed(arg)
-        logmag -= lg
-        sign *= sg
+        logmag, sign = _lower_gamma(logmag, sign, b + be * k)
     return logmag, sign
 
 
 def wright_term(spec: WrightSpec, k: int) -> float:
-    """Single series term; exactly 0.0 when a lower gamma pole kills it."""
-    t = _wright_term_log(spec, k)
-    if t is None:
-        return 0.0
-    logmag, sign = t
-    return sign * math.exp(logmag)
+    """Single series term; exactly 0.0 when a lower gamma pole kills it.
+    Raises DomainError on an upper-gamma pole."""
+    logmag, sign = _wright_log_terms(spec, np.array([k]))
+    if np.isnan(sign[0]):
+        raise DomainError(f"upper gamma argument hits a pole at term k={k}")
+    return 0.0 if logmag[0] == -np.inf else float(sign[0] * np.exp(logmag[0]))
 
 
-def _sum_series(
-    term_log: Callable[[int], Optional[tuple]], ctrl: SeriesControl
-) -> SeriesResult:
-    """Accumulate sign*exp(logmag) terms with running rescale and the
-    consecutive-small-terms stop rule."""
-    acc = 0.0
-    offset = 0.0
-    small = 0
-    for k in range(ctrl.max_terms):
-        t = term_log(k)
-        if t is None:
-            term = 0.0
-        else:
-            logmag, sign = t
-            if logmag - offset > _LOG_EXP_LIMIT:
-                shift = logmag - offset
-                offset = logmag
-                acc *= math.exp(-shift)
-            term = sign * math.exp(logmag - offset)
-        acc += term
-        if abs(acc) > _ACC_LIMIT:
-            bump = math.log(abs(acc))
-            offset += bump
-            acc = math.copysign(1.0, acc)
-            term *= math.exp(-bump)
-        if abs(term) <= ctrl.rel_tol * abs(acc):
-            small += 1
-        else:
-            small = 0
-        if small >= ctrl.consecutive_small and k + 1 >= ctrl.min_terms:
-            if acc > 0.0:
-                log_value = math.log(acc) + offset
-                # derive the linear value from the log so the two views
-                # agree to the last ulp even after rescaling
-                value = exp_saturating(log_value)
-            else:
-                log_value = math.nan
-                value = acc * math.exp(offset) if offset != 0.0 else acc
-            return SeriesResult(value, log_value, k + 1, True)
-    raise NonConvergenceError(
-        f"series did not meet the stop criterion within {ctrl.max_terms} terms"
-    )
+def _sum_terms(log_terms: Callable, ctrl: SeriesControl) -> SeriesResult:
+    """Sum sign * exp(logmag) over k in [0, K) for K = 32, 64, ... up to
+    max_terms, until the consecutive-small stop rule holds.
+
+    ``log_terms(k)`` maps an index array to (logmag, sign); a zero term
+    has logmag -inf, and an undefined one also has sign nan. The small
+    test compares logarithms, so terms far below the peak do not look
+    small against a partial sum that underflowed.
+    """
+    log_tol = math.log(ctrl.rel_tol)
+    first = ctrl.min_terms - 1
+    size = _FIRST_BLOCK
+    while True:
+        size = min(size, ctrl.max_terms)
+        k = np.arange(size, dtype=float)
+        logmag, sign = log_terms(k)
+        peak = float(logmag.max())
+        if peak == -math.inf:
+            peak = 0.0
+        rel = logmag - peak
+        # an undefined term makes this and every later partial sum nan,
+        # and nan is never small
+        acc = (sign * np.exp(rel)).cumsum()
+        with np.errstate(divide="ignore"):
+            small = rel <= log_tol + np.log(np.abs(acc))
+        # length of the run of small terms that ends at each k
+        run = k - np.maximum.accumulate(np.where(small, -1, k))
+        stops = (run[first:] >= ctrl.consecutive_small).nonzero()[0]
+        if stops.size:
+            used = first + int(stops[0]) + 1
+            total = float(acc[used - 1])
+            log_abs = math.log(abs(total)) + peak if total else -math.inf
+            # derive the linear value from the log so the two views agree
+            # to the last ulp
+            value = math.copysign(exp_saturating(log_abs), total)
+            return SeriesResult(value, log_abs if total > 0.0 else math.nan, used, True)
+        if np.isnan(acc[-1]):
+            raise DomainError(f"series term k={int(np.argmax(np.isnan(acc)))} is undefined")
+        if size == ctrl.max_terms:
+            raise NonConvergenceError(
+                f"series did not meet the stop criterion within {ctrl.max_terms} terms"
+            )
+        size *= 2
 
 
 def wright_series(spec: WrightSpec, ctrl: SeriesControl = SeriesControl()) -> SeriesResult:
@@ -247,7 +251,7 @@ def wright_series(spec: WrightSpec, ctrl: SeriesControl = SeriesControl()) -> Se
             SeriesDivergenceWarning,
             stacklevel=2,
         )
-    return _sum_series(lambda k: _wright_term_log(spec, k), ctrl)
+    return _sum_terms(lambda k: _wright_log_terms(spec, k), ctrl)
 
 
 def mittag_leffler(
@@ -271,19 +275,7 @@ def mittag_leffler2(
     if not math.isfinite(beta):
         raise DomainError("beta must be finite")
     z = float(z)
-    logz = math.log(abs(z)) if z != 0.0 else 0.0
-
-    def term(k):
-        if z == 0.0 and k > 0:
-            return None
-        arg = alpha * k + beta
-        if _is_gamma_pole(arg):
-            return None
-        lg, sg = _log_gamma_signed(arg)
-        sign = sg if z >= 0.0 or k % 2 == 0 else -sg
-        return k * logz - lg, sign
-
-    return _sum_series(term, ctrl)
+    return _sum_terms(lambda k: _lower_gamma(*_power(z, k), alpha * k + beta), ctrl)
 
 
 def mittag_leffler3(
@@ -300,31 +292,16 @@ def mittag_leffler3(
     if not (math.isfinite(beta) and math.isfinite(gamma)):
         raise DomainError("beta and gamma must be finite")
     z = float(z)
-    logz = math.log(abs(z)) if z != 0.0 else 0.0
-    # incremental log|(gamma)_k / k!| via the ratio (gamma+i)/(1+i), so
-    # the factor is exactly 0 in log space when gamma = 1
-    state = {"logw": 0.0, "sign": 1.0, "dead": False, "k": 0}
 
-    def term(k):
-        # advance the weight product to index k (calls are sequential)
-        while state["k"] < k:
-            f = (gamma + state["k"]) / (1.0 + state["k"])
-            if f == 0.0:
-                state["dead"] = True
-            elif not state["dead"]:
-                state["logw"] += math.log(abs(f))
-                if f < 0.0:
-                    state["sign"] = -state["sign"]
-            state["k"] += 1
-        if state["dead"] or (z == 0.0 and k > 0):
-            return None
-        arg = alpha * k + beta
-        if _is_gamma_pole(arg):
-            return None
-        lg, sg = _log_gamma_signed(arg)
-        sign = state["sign"] * sg
-        if z < 0.0 and k % 2 == 1:
-            sign = -sign
-        return state["logw"] + k * logz - lg, sign
+    def terms(k):
+        # log|(gamma)_k / k!| and its sign as a product of the ratios
+        # (gamma+i)/(1+i), so the weight is exactly 0 in log space when
+        # gamma = 1, and a zero factor kills every later term
+        f = (gamma + k[:-1]) / (1.0 + k[:-1])
+        with np.errstate(divide="ignore"):
+            logw = np.concatenate(([0.0], np.cumsum(np.log(np.abs(f)))))
+        wsign = np.concatenate(([1.0], np.cumprod(np.sign(f))))
+        logz, zsign = _power(z, k)
+        return _lower_gamma(logw + logz, wsign * zsign, alpha * k + beta)
 
-    return _sum_series(term, ctrl)
+    return _sum_terms(terms, ctrl)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from wright_poisson.distribution import new_wright_poisson
-from wright_poisson.special import DomainError, SeriesControl
+from wright_poisson.special import DomainError, NonConvergenceError, SeriesControl
 
 GRID_SHAPES = (0.5, 1.0, 1.5, 2.0, 3.0)
 GRID_M = (0.1, 1.0, 5.0)
@@ -240,3 +243,62 @@ class TestSampling:
         d = new_wright_poisson(1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             d.sample(0, seed=1)
+
+
+class TestLargeRate:
+    """Poisson rates where pmf(0) underflows; m = 4999 also has a log Z
+    whose last-ulp rounding leaves the pmf total short of 1 - 1e-13."""
+
+    @pytest.mark.parametrize("m", [4999, 5000])
+    def test_cdf_at_the_mean(self, m):
+        d = new_wright_poisson(1.0, 1.0, float(m))
+        assert d.cdf(m) == pytest.approx(stats.poisson.cdf(m, m), rel=1e-9)
+
+    @pytest.mark.parametrize("m", [4999, 5000])
+    def test_median(self, m):
+        assert new_wright_poisson(1.0, 1.0, float(m)).quantile(0.5) == m
+
+    @pytest.mark.parametrize("m", [4999, 5000])
+    def test_mean_series(self, m):
+        d = new_wright_poisson(1.0, 1.0, float(m))
+        assert d.mean_series() == pytest.approx(m, rel=1e-11)
+
+    def test_sample_mean_within_clt_bound(self):
+        n, m = 10_000, 1000.0
+        vals = new_wright_poisson(1.0, 1.0, m).sample(n, seed=11).values
+        assert abs(float(vals.mean()) - m) <= 3.0 * math.sqrt(m / n)
+
+    def test_quantile_above_tabulated_mass_raises(self):
+        d = new_wright_poisson(1.0, 1.0, 4999.0)
+        p = math.nextafter(d.cdf(10**9), 1.0)
+        assert p < 1.0
+        with pytest.raises(NonConvergenceError):
+            d.quantile(p)
+
+
+_shape = st.floats(0.5, 3.0)
+_rate = st.floats(0.1, 50.0)
+
+
+class TestSupportProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(a=_shape, b=_shape, m=_rate)
+    def test_pmf_sums_to_one(self, a, b, m):
+        total = float(np.sum(new_wright_poisson(a, b, m).support_pmf()))
+        assert 1.0 - 1e-10 <= total <= 1.0 + 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=_shape, b=_shape, m=_rate)
+    def test_cdf_monotone_and_bounded(self, a, b, m):
+        d = new_wright_poisson(a, b, m)
+        cdf = [d.cdf(r) for r in range(d.support_pmf().size + 4)]
+        assert all(x <= y for x, y in zip(cdf, cdf[1:]))
+        assert 0.0 <= cdf[0] and cdf[-1] <= 1.0 + 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=_shape, b=_shape, m=_rate)
+    def test_quantile_left_inverse(self, a, b, m):
+        d = new_wright_poisson(a, b, m)
+        for r in range(d.support_pmf().size):
+            p = min(max(d.cdf(r) - 1e-12, 0.0), math.nextafter(1.0, 0.0))
+            assert d.quantile(p) <= r

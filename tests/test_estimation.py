@@ -66,6 +66,16 @@ class TestLoadCounts:
         assert data.counts.tolist() == [4, 6]
 
 
+class TestCountData:
+    def test_integral_floats_accepted(self):
+        assert CountData.from_counts([1.0, 2.0, 0.0]).counts.tolist() == [1, 2, 0]
+
+    @pytest.mark.parametrize("counts", [[1.7, 2.2], [1.0, math.nan], [math.inf]])
+    def test_non_integer_floats_rejected(self, counts):
+        with pytest.raises(ParseError):
+            CountData.from_counts(counts)
+
+
 class TestLogLikelihood:
     def test_classical_reduction(self):
         data = CountData.from_counts([0, 1, 3, 2, 2])

@@ -251,3 +251,59 @@ class TestMittagLeffler:
             w = wright_series(WrightSpec([(1, 1)], [(b, a)], z)).value
             e = mittag_leffler3(a, b, 1.0, z).value
             assert w == pytest.approx(e, rel=1e-12, abs=1e-15)
+
+
+def _ml2_reference(a, b, z, terms):
+    """E_{a,b}(z) summed in 40-digit arithmetic; rgamma is 0 at poles."""
+    with mpmath.workdps(40):
+        return mpmath.fsum(
+            mpmath.mpf(z) ** k * mpmath.rgamma(mpmath.mpf(a) * k + b)
+            for k in range(terms)
+        )
+
+
+class TestBlockEvaluator:
+    @pytest.mark.parametrize(
+        "a,b,z,terms",
+        [(1.0, 1.0, 700.0, 919), (0.793, 1.431, 76.0, 463)],
+    )
+    def test_long_series_against_mpmath(self, a, b, z, terms):
+        # both sums run past several doublings of the first block
+        res = mittag_leffler2(a, b, z)
+        assert res.terms_used == terms
+        ref = _ml2_reference(a, b, z, 2 * terms)
+        assert res.log_value == pytest.approx(float(mpmath.log(ref)), rel=1e-14)
+
+    @pytest.mark.parametrize("a,b,z", [(1.0, -1.0, 2.0), (0.5, -1.0, 1.5), (0.5, 0.0, 3.0)])
+    def test_lower_pole_terms_vanish(self, a, b, z):
+        ref = float(_ml2_reference(a, b, z, 400))
+        assert mittag_leffler2(a, b, z).value == pytest.approx(ref, rel=1e-13)
+
+    def test_prabhakar_weights_die_after_k2(self):
+        # (-2)_k = 0 for k >= 3: three terms remain
+        a, b, z = 0.7, 1.3, 1.5
+        want = (
+            mpmath.rgamma(b)
+            - 2 * z * mpmath.rgamma(a + b)
+            + z * z * mpmath.rgamma(2 * a + b)
+        )
+        assert mittag_leffler3(a, b, -2.0, z).value == pytest.approx(
+            float(want), rel=1e-14
+        )
+
+    @pytest.mark.parametrize("pole", [20.0, 50.0])
+    def test_upper_pole_after_stop_is_not_reached(self, pole):
+        spec = WrightSpec([(pole, -1.0)], [(1.0, 1.0)], 0.1)
+        res = wright_series(spec)
+        assert res.terms_used < pole
+        with mpmath.workdps(40):
+            ref = mpmath.fsum(
+                mpmath.gamma(pole - k) / mpmath.factorial(k) ** 2 * mpmath.mpf("0.1") ** k
+                for k in range(int(pole))
+            )
+        # exp of a log near 145 carries about 145 ulp(1) of relative error
+        assert res.value == pytest.approx(float(ref), rel=1e-13)
+
+    def test_upper_pole_before_stop_raises(self):
+        with pytest.raises(DomainError):
+            wright_series(WrightSpec([(5.0, -1.0)], [(1.0, 1.0)], 0.1))
