@@ -1,8 +1,8 @@
 """Draw samples, then recover the parameters by maximum likelihood.
 
 Shows the round trip: sample from a known member of the family, fit the
-rate with golden-section search, and fit all three parameters with a
-refining grid search.
+rate by solving the score equation E[X] = sample mean with Newton steps
+in log m, and fit all three parameters with a refining grid search.
 """
 
 import numpy as np

@@ -106,6 +106,8 @@ def _dist_from(args) -> WrightPoisson:
 
 
 def cmd_pmf(args) -> int:
+    if args.r_max < 0:
+        raise DomainError("--r-max must be >= 0")
     d = _dist_from(args)
     rows = [[r, d.pmf(r), d.cdf(r)] for r in range(args.r_max + 1)]
     _render(args.format, ["r", "pmf", "cdf"], rows, args.out)

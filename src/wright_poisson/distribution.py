@@ -290,7 +290,10 @@ class WrightPoisson:
         """E[e^{tX}] = E_{a,b}(e^t m) / E_{a,b}(m)."""
         if not math.isfinite(t):
             raise DomainError("t must be finite")
-        num = mittag_leffler2(self.alpha, self.beta, math.exp(t) * self.m, self.ctrl)
+        z = exp_saturating(t) * self.m
+        if z == math.inf:
+            raise DomainError(f"t = {t!r} is too large: e^t * m overflows")
+        num = mittag_leffler2(self.alpha, self.beta, z, self.ctrl)
         return exp_saturating(num.log_value - self.log_normalizer)
 
     def sample(self, n: int, seed: int) -> SampleBatch:

@@ -1,9 +1,9 @@
 """Maximum-likelihood fitting of the Wright-type Poisson distribution to
 observed counts, plus delimited-text ingestion.
 
-Optimization is derivative-free: golden-section search over the rate
-parameter m, and a shrinking log-scale grid over (alpha, beta) with the
-m-search nested inside.
+The rate m is fitted from the score equation E[X] = sample mean, by
+safeguarded Newton steps in log m; the shape (alpha, beta) by a shrinking
+log-scale grid with the rate fit nested inside.
 """
 
 from __future__ import annotations
@@ -11,12 +11,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 from scipy import special as sc
 
+from . import distribution
 from .special import (
     DomainError,
     NonConvergenceError,
@@ -39,7 +41,10 @@ M_FLOOR = 1e-8
 SHAPE_BOX = (0.1, 10.0)  # search box for alpha and beta
 _GRID_POINTS = 7
 _REFINE_ROUNDS = 3
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# largest change of log m in one Newton step of fit_m, and its stop tolerance
+_MAX_STEP = 2.0
+_THETA_TOL = 1e-10
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _MAX_ITER = 200
 
 
@@ -192,75 +197,56 @@ def fit_m(
     beta: float,
     ctrl: Optional[SeriesControl] = None,
 ) -> FitResult:
-    """Maximize the likelihood over m alone, alpha and beta held fixed:
-    geometric bracketing from the sample mean, then golden section."""
+    """Maximize the likelihood over m alone, alpha and beta held fixed.
+
+    In theta = log m the law is an exponential family in sum(r), so the
+    MLE is the one root of log E[X] = log(mean), whose slope in theta is
+    Var[X] / E[X] > 0. Newton steps in theta take both moments from the
+    support table of one distribution; each step is capped at _MAX_STEP
+    and narrows a bracket of the root, and a step out of the bracket
+    becomes a bisection. A root below M_FLOOR (or an all-zero sample)
+    gives M_FLOOR, unconverged. ``iterations`` counts the steps.
+    """
     if ctrl is None:
         ctrl = SeriesControl()
     if data.n < 1:
         raise DomainError("need at least one observation")
 
-    uniq, wts = np.unique(data.counts, return_counts=True)
-    glog = sc.gammaln(alpha * uniq + beta)
-    gam = float(np.dot(wts, glog))
-
-    def ll(m: float) -> float:
-        norm = mittag_leffler2(alpha, beta, m, ctrl)
-        return data.sum * math.log(m) - gam - data.n * norm.log_value
-
-    iters = 0
-    m0 = max(data.mean, M_FLOOR)
-
-    # expand upward while the likelihood keeps improving
-    hi = m0
-    f_hi = ll(hi)
-    while iters < _MAX_ITER:
-        cand = hi * 2.0
-        f_cand = ll(cand)
-        iters += 1
-        improving = f_cand > f_hi
-        hi, f_hi = cand, f_cand
-        if not improving:
-            break
-    else:
-        raise NonConvergenceError("bracketing up exceeded iteration cap")
-
-    # expand downward toward the floor while improving
-    lo = m0
-    f_lo = ll(lo)
-    while lo > M_FLOOR and iters < _MAX_ITER:
-        cand = max(lo / 2.0, M_FLOOR)
-        f_cand = ll(cand)
-        iters += 1
-        improving = f_cand > f_lo
-        lo, f_lo = cand, f_cand
-        if not improving:
-            break
-    if iters >= _MAX_ITER:
-        raise NonConvergenceError("bracketing down exceeded iteration cap")
-
-    # golden-section search on [lo, hi]
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = ll(c), ll(d)
-    converged = False
-    while iters < _MAX_ITER:
-        iters += 1
-        if b - a <= 1e-8 * (1.0 + 0.5 * (a + b)):
-            converged = True
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = ll(c)
+    floor = math.log(M_FLOOR)
+    m_hat, converged, iters = M_FLOOR, False, 0  # an all-zero sample
+    if data.sum:
+        target = math.log(data.mean)
+        # start where the terms m^r / Gamma(alpha r + beta) peak at r = mean
+        theta = max(alpha * float(sc.digamma(alpha * data.mean + beta)), floor)
+        lo, hi = -math.inf, math.inf
+        for iters in range(1, _MAX_ITER + 1):
+            if theta > _LOG_FLOAT_MAX:
+                raise NonConvergenceError("the rate matching the sample mean overflows")
+            pmf = distribution.new_wright_poisson(
+                float(alpha), float(beta), math.exp(theta), ctrl
+            ).support_pmf()
+            r = np.arange(pmf.size)
+            mean = float(r @ pmf)
+            var = float((r - mean) ** 2 @ pmf)
+            gap = target - math.log(mean) if mean > 0.0 else math.inf
+            if gap <= 0.0 and theta <= floor:
+                break  # the root lies below the floor
+            if gap > 0.0:
+                lo = theta
+            else:
+                hi = theta
+            step = gap * mean / var if var > 0.0 else math.copysign(_MAX_STEP, gap)
+            nxt = theta + min(max(step, -_MAX_STEP), _MAX_STEP)
+            if not lo <= nxt <= hi:
+                nxt = 0.5 * (lo + hi)
+            nxt = max(nxt, floor)
+            done = abs(nxt - theta) <= _THETA_TOL or hi - lo <= _THETA_TOL
+            theta = nxt
+            if done:
+                m_hat, converged = math.exp(theta), True
+                break
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = ll(d)
-    m_hat = 0.5 * (a + b)
-    if m_hat <= 2.0 * M_FLOOR:
-        m_hat = M_FLOOR
-        converged = False  # boundary solution
+            raise NonConvergenceError(f"rate fit took more than {_MAX_ITER} steps")
     return FitResult(
         alpha=float(alpha),
         beta=float(beta),

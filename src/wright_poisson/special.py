@@ -64,6 +64,14 @@ def exp_saturating(x: float) -> float:
         return math.inf
 
 
+def _finite_z(z) -> float:
+    """z as a float; a series argument must be finite."""
+    z = float(z)
+    if not math.isfinite(z):
+        raise DomainError("z must be finite")
+    return z
+
+
 def _is_gamma_pole(x):
     """True where x (a float or an array) is a pole of the gamma function."""
     r = np.round(x)
@@ -87,7 +95,7 @@ class WrightSpec:
                 raise DomainError("gamma-argument weights must be finite")
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "z", float(z))
+        object.__setattr__(self, "z", _finite_z(z))
 
 
 @dataclass(frozen=True)
@@ -274,7 +282,7 @@ def mittag_leffler2(
         raise DomainError("mittag_leffler2 requires alpha > 0")
     if not math.isfinite(beta):
         raise DomainError("beta must be finite")
-    z = float(z)
+    z = _finite_z(z)
     return _sum_terms(lambda k: _lower_gamma(*_power(z, k), alpha * k + beta), ctrl)
 
 
@@ -291,7 +299,7 @@ def mittag_leffler3(
         raise DomainError("mittag_leffler3 requires alpha > 0")
     if not (math.isfinite(beta) and math.isfinite(gamma)):
         raise DomainError("beta and gamma must be finite")
-    z = float(z)
+    z = _finite_z(z)
 
     def terms(k):
         # log|(gamma)_k / k!| and its sign as a product of the ratios

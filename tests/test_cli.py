@@ -36,6 +36,16 @@ class TestPmf:
         assert code == 2
         assert "m must be > 0" in err
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_negative_r_max_exit_2(self, capsys, fmt):
+        code, out, err = run(
+            capsys, "pmf", "--alpha", "1", "--beta", "1", "--m", "1",
+            "--r-max", "-1", "--format", fmt,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--r-max" in err
+
     def test_csv_header(self, capsys):
         code, out, _ = run(
             capsys, "pmf", "--alpha", "1", "--beta", "1", "--m", "1",
@@ -97,6 +107,14 @@ class TestMgf:
         rows = json.loads(out)
         assert rows[0]["mgf"] == pytest.approx(1.0, rel=1e-12)
         assert rows[1]["mgf"] == pytest.approx(math.e, rel=1e-12)
+
+    def test_overflowing_t_exit_2(self, capsys):
+        code, _, err = run(
+            capsys, "mgf", "--alpha", "1", "--beta", "1", "--m", "2",
+            "--t", "800",
+        )
+        assert code == 2
+        assert "t = 800" in err
 
 
 class TestSample:

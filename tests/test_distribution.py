@@ -209,6 +209,13 @@ class TestMgf:
         with pytest.raises(DomainError):
             d.mgf(math.nan)
 
+    @pytest.mark.parametrize("t", [800.0, 709.5])
+    def test_t_overflowing_e_t_m_names_t(self, t):
+        # e^800 overflows alone; e^709.5 * 2 overflows only times m
+        d = new_wright_poisson(1.0, 1.0, 2.0)
+        with pytest.raises(DomainError, match="t = "):
+            d.mgf(t)
+
 
 class TestSampling:
     def test_deterministic(self):

@@ -13,6 +13,7 @@ from wright_poisson.estimation import (
     load_counts,
     log_likelihood,
 )
+from wright_poisson.special import NonConvergenceError
 
 
 @pytest.fixture
@@ -133,6 +134,63 @@ class TestFitM:
         data = CountData.from_counts(gen.sample(100_000, seed=7).values)
         res = fit_m(data, 2.0, 1.0)
         assert abs(res.m - 3.0) < 0.1
+
+
+class TestFitMScoreEquation:
+    """The rate MLE solves E[X] = sample mean (exponential family in log m)."""
+
+    def test_converges_where_the_series_cliff_was_hit(self):
+        # the normalizer needs about m^(1/alpha) / alpha terms: past the
+        # term cap at m = 8 (twice the sample mean), well inside it at the root
+        data = CountData.from_counts(np.random.default_rng(3).poisson(4.0, 10_000))
+        alpha = 10 ** (-2 / 3)
+        res = fit_m(data, alpha, 1.0)
+        assert res.converged
+        mean = new_wright_poisson(alpha, 1.0, res.m).mean_series()
+        assert mean == pytest.approx(data.mean, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, m",
+        [
+            (1.5, 2.0, 3.0),  # beta != 1
+            (0.5, 2.5, 3.0),  # alpha < 1
+            (0.3, 0.7, 2.0),  # alpha < 1, beta < 1
+            (10.0, 1.0, 3e20),  # the mean is a staircase in log m
+            (10.0, 0.5, 1e12),
+        ],
+    )
+    def test_mean_at_fit_equals_sample_mean(self, alpha, beta, m):
+        gen = new_wright_poisson(alpha, beta, m)
+        data = CountData.from_counts(gen.sample(5_000, seed=5).values)
+        res = fit_m(data, alpha, beta)
+        assert res.converged
+        mean = new_wright_poisson(alpha, beta, res.m).mean_series()
+        assert mean == pytest.approx(data.mean, rel=1e-9)
+        # a fit costs a handful of Newton steps, not dozens of evaluations
+        assert res.iterations <= 10
+        for bump in (1.0 - 1e-4, 1.0 + 1e-4):
+            assert log_likelihood(data, alpha, beta, res.m * bump) < res.log_likelihood
+
+    def test_root_below_floor_gives_floor(self):
+        # at beta = 1e-6, E[X] is about 1e6 m, so the root lies near 1e-9
+        data = CountData.from_counts([1] + [0] * 999)
+        res = fit_m(data, 1.0, 1e-6)
+        assert res.m == 1e-8
+        assert not res.converged
+
+    def test_small_rate_is_solved_to_relative_precision(self):
+        # the root near 1e-6 sits far below an absolute tolerance of 1e-8
+        data = CountData.from_counts([1] + [0] * 999)
+        res = fit_m(data, 1.0, 1e-3)
+        assert res.converged
+        mean = new_wright_poisson(1.0, 1e-3, res.m).mean_series()
+        assert mean == pytest.approx(data.mean, rel=1e-9)
+
+    @pytest.mark.parametrize("counts", [[0, 1, 2, 3], [1] + [0] * 999])
+    def test_rate_beyond_float_range_is_typed(self, counts):
+        # at alpha = 200 the matching rate is near Gamma(201) * mean or above
+        with pytest.raises(NonConvergenceError):
+            fit_m(CountData.from_counts(counts), 200.0, 1.0)
 
 
 class TestFitFull:

@@ -307,3 +307,20 @@ class TestBlockEvaluator:
     def test_upper_pole_before_stop_raises(self):
         with pytest.raises(DomainError):
             wright_series(WrightSpec([(5.0, -1.0)], [(1.0, 1.0)], 0.1))
+
+
+class TestNonFiniteArgument:
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_mittag_leffler2(self, z):
+        with pytest.raises(DomainError, match="z must be finite"):
+            mittag_leffler2(0.5, 1.0, z)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_mittag_leffler3(self, z):
+        with pytest.raises(DomainError, match="z must be finite"):
+            mittag_leffler3(0.5, 1.0, 2.0, z)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_wright_spec(self, z):
+        with pytest.raises(DomainError, match="z must be finite"):
+            WrightSpec([(1.0, 1.0)], [(1.0, 1.0)], z)
