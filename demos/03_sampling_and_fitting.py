@@ -2,7 +2,8 @@
 
 Shows the round trip: sample from a known member of the family, fit the
 rate by solving the score equation E[X] = sample mean with Newton steps
-in log m, and fit all three parameters with a refining grid search.
+in log m, and fit all three parameters with a gradient search on the
+profile likelihood over (log alpha, log beta), the rate fit nested.
 """
 
 import numpy as np

@@ -347,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the self-check suite")
     _add_common(p, with_params=False)
-    p.add_argument("--grid-size", type=int, default=len(_CHECK_GRID_SHAPES))
+    p.add_argument("--grid-size", type=int, default=len(_CHECK_GRID_SHAPES),
+                   choices=range(1, len(_CHECK_GRID_SHAPES) + 1))
     p.add_argument("--tolerance", type=float, default=None,
                    help="override every check's tolerance")
     p.set_defaults(func=cmd_check)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -91,10 +92,6 @@ class WrightPoisson:
     log_normalizer: float
     ctrl: SeriesControl
 
-    # pmf and cdf arrays over the support, one pair per mass tolerance,
-    # built on first use
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
     # -- pmf / cdf ----------------------------------------------------
 
     def _log_pmf(self, r):
@@ -129,13 +126,13 @@ class WrightPoisson:
         """P(X <= r); past the end of the support table, its total mass."""
         if r < 0:
             raise DomainError("r must be a nonnegative integer")
-        cdf = self._support()[1]
+        cdf = self._support[1]
         return float(cdf[min(int(r), cdf.size - 1)])
 
     def quantile(self, p: float) -> int:
         if not (0.0 <= p < 1.0):
             raise DomainError("quantile requires p in [0, 1)")
-        cdf = self._support()[1]
+        cdf = self._support[1]
         r = int(np.searchsorted(cdf, p, side="left"))
         if r == cdf.size:
             raise NonConvergenceError(
@@ -145,18 +142,16 @@ class WrightPoisson:
 
     # -- support table ------------------------------------------------
 
-    def _mass_floor(self, mass_tol: float) -> float:
+    def _mass_floor(self) -> float:
         """Cumulative mass that marks the bulk as summed. One ulp of log Z
         is the relative error of every pmf value, and so of their total."""
-        return 1.0 - mass_tol - math.ulp(self.log_normalizer)
+        return 1.0 - _MASS_TOL - math.ulp(self.log_normalizer)
 
-    def _support(self, mass_tol: float = _MASS_TOL):
-        """(pmf, cdf) over 0..R, R the first r whose cdf reaches the mass
-        floor while the next _LOOKAHEAD pmf values sum below _TAIL_ATOL."""
-        table = self._tables.get(mass_tol)
-        if table is not None:
-            return table
-        floor = self._mass_floor(mass_tol)
+    @cached_property
+    def _support(self):
+        """(pmf, cdf) over 0..R, built once: R is the first r whose cdf reaches
+        the mass floor while the next _LOOKAHEAD pmf values sum below _TAIL_ATOL."""
+        floor = self._mass_floor()
         size = 64
         while True:
             pmf = np.exp(self._log_pmf(np.arange(size)))
@@ -166,16 +161,15 @@ class WrightPoisson:
             ends = np.flatnonzero((cdf[: tail.size] >= floor) & (tail < _TAIL_ATOL))
             if ends.size:
                 end = int(ends[0]) + 1
-                table = self._tables[mass_tol] = (pmf[:end], cdf[:end])
-                return table
+                return pmf[:end], cdf[:end]
             if size > _SUPPORT_CAP:
                 raise NonConvergenceError("support table exceeded cap")
             size = min(2 * size, _SUPPORT_CAP + _LOOKAHEAD + 1)
 
-    def support_pmf(self, mass_tol: float = _MASS_TOL) -> np.ndarray:
-        """pmf values 0..R where R is the 1 - mass_tol cutoff (with a
+    def support_pmf(self) -> np.ndarray:
+        """pmf values 0..R where R is the 1 - _MASS_TOL cutoff (with a
         16-term lookahead confirming the tail is dead)."""
-        return self._support(mass_tol)[0].copy()
+        return self._support[0].copy()
 
     def expectation(self, weight: Callable[[int], float]) -> float:
         """sum_r weight(r) * pmf(r), stopped once the cumulative mass is
@@ -185,7 +179,7 @@ class WrightPoisson:
         sum continues well past the mass cutoff until the weighted
         contributions themselves die out.
         """
-        floor = self._mass_floor(_MASS_TOL)
+        floor = self._mass_floor()
         pmf = np.empty(0)
         partial = 0.0
         mass = 0.0
@@ -300,7 +294,7 @@ class WrightPoisson:
         """n i.i.d. draws by CDF inversion; deterministic given seed."""
         if n < 1:
             raise DomainError("sample requires n >= 1")
-        cdf = self._support()[1]
+        cdf = self._support[1]
         rng = np.random.default_rng(seed)
         u = rng.random(n)
         # u above the tabulated mass clamps to the last support point

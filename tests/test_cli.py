@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,6 +184,16 @@ class TestFit:
         code, _, _ = run(capsys, "fit", str(f), "--mode", "m-only")
         assert code == 2
 
+    def test_full_converges(self, capsys, tmp_path):
+        counts = np.random.default_rng(314).poisson(4.0, 20_000)
+        f = tmp_path / "counts.txt"
+        f.write_text("\n".join(str(c) for c in counts) + "\n")
+        code, out, _ = run(capsys, "fit", str(f), "--mode", "full", "--format", "json")
+        assert code == 0
+        vals = {row["field"]: row["value"] for row in json.loads(out)}
+        assert vals["converged"] == "True"
+        assert vals["profile"] == "full"
+
 
 class TestCheck:
     def test_default_passes(self, capsys):
@@ -198,6 +211,13 @@ class TestCheck:
                            "--tolerance", "1e-30")
         assert code == 1
         assert "FAIL" in err
+
+    @pytest.mark.parametrize("size", ["-1", "0", "6"])
+    def test_grid_size_out_of_range_exit_2(self, capsys, size):
+        code, out, err = run(capsys, "check", "--grid-size", size)
+        assert code == 2
+        assert out == ""
+        assert "--grid-size" in err
 
     def test_report_sorted(self, capsys):
         code, out, _ = run(capsys, "check", "--grid-size", "2",
@@ -237,3 +257,13 @@ class TestGlobalBehavior:
 
     def test_unknown_command_exit_2(self, capsys):
         assert cli.main(["frobnicate"]) == 2
+
+    def test_import_leaves_out_scipy_optimize(self):
+        # only fit_full needs it, and importing it adds about 0.3 s to every start
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = "import sys, wright_poisson.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.strip() == "False"

@@ -210,3 +210,34 @@ class TestFitFull:
         full = fit_full(data)
         truth = log_likelihood(data, 1.5, 1.0, 2.0)
         assert full.log_likelihood >= truth - 1e-6
+
+
+class TestFitFullProfileSearch:
+    """The shape search follows the profile likelihood's gradient to its
+    maximum and reports convergence from the projected gradient."""
+
+    @pytest.mark.parametrize(
+        "counts, alpha, beta",
+        [
+            # the nesting test's data: the optimum lies off any coarse grid
+            (np.random.default_rng(314).poisson(4.0, 20_000), 1.04, 1.25),
+            # underdispersed: the optimum lies on the box edge beta = 10
+            (np.random.default_rng(5).binomial(10, 0.5, 10_000), 3.08, 10.0),
+        ],
+        ids=["nesting-data", "underdispersed"],
+    )
+    def test_reaches_the_optimum_and_converges(self, counts, alpha, beta):
+        data = CountData.from_counts(counts)
+        full = fit_full(data)
+        assert full.converged
+        assert full.log_likelihood >= fit_m(data, alpha, beta).log_likelihood
+
+    def test_interior_optimum_is_a_local_maximum(self):
+        gen = new_wright_poisson(1.5, 1.0, 2.0)
+        data = CountData.from_counts(gen.sample(20_000, seed=11).values)
+        full = fit_full(data)
+        assert full.converged
+        assert 0.1 < full.alpha < 10.0 and 0.1 < full.beta < 10.0
+        for bump in (1.0 - 1e-3, 1.0 + 1e-3):
+            for alpha, beta in ((full.alpha * bump, full.beta), (full.alpha, full.beta * bump)):
+                assert fit_m(data, alpha, beta).log_likelihood <= full.log_likelihood
