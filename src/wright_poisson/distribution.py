@@ -5,9 +5,15 @@ Z = sum_k m^k / Gamma(alpha k + beta), the two-parameter Mittag-Leffler
 series at m (equivalently a 1Psi1 Wright series). alpha = beta = 1
 recovers the classical Poisson law.
 
-Every pmf value is evaluated directly from its logarithm, so none
-depends on pmf(0), which underflows for large m. cdf, quantile, sample
-and support_pmf read one table over the support, built on first use.
+Construction evaluates the log-terms k log m - ln Gamma(alpha k + beta)
+once, over a window [0, K) sized from their peak, and takes both log Z
+(their log-sum-exp) and the pmf/cdf table (the same array, normalized)
+from it. The terms are log-concave, so the mass past the window is at
+most a geometric series in the last term ratio; the window ends where
+that bound is below rel_tol and the table's end rule holds inside it.
+cdf, quantile, sample and support_pmf read the table. Every pmf value is
+evaluated directly from its logarithm, so none depends on pmf(0), which
+underflows for large m.
 
 Moments come in three flavors each: a brute-force series over the pmf,
 and two closed forms (Wright-series differences, and shifted
@@ -18,13 +24,12 @@ return the raw E[X^2]; variance is derived as E[X^2] - mean^2.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special as sc
 
 from .special import (
@@ -34,6 +39,7 @@ from .special import (
     SeriesControl,
     SeriesResult,
     WrightSpec,
+    _term_window,
     mittag_leffler2,
     wright_series,
 )
@@ -49,7 +55,9 @@ __all__ = [
 _MASS_TOL = 1e-13
 _LOOKAHEAD = 16
 _TAIL_ATOL = 1e-15
-_SUPPORT_CAP = 10**6
+# nats a window reaches below what the table's end rule needs, for the
+# 1 / (1 - rho) factor of the tail bound
+_WINDOW_MARGIN = 3.0
 
 
 @dataclass(frozen=True)
@@ -79,9 +87,76 @@ def _ratio(num: SeriesResult, den: SeriesResult) -> float:
     return num.value / den.value
 
 
+def _log_terms(alpha: float, beta: float, log_m: float, r):
+    """log(m^r / Gamma(alpha r + beta)) at an integer or an array of them."""
+    return r * log_m - sc.gammaln(alpha * r + beta)
+
+
+def _mass_floor(log_z: float) -> float:
+    """Cumulative mass that marks the bulk as summed. One ulp of log Z is
+    the relative error of every pmf value, and so of their total."""
+    return 1.0 - _MASS_TOL - math.ulp(log_z)
+
+
+def _log_tail(lt: np.ndarray) -> float:
+    """log of a bound on the sum of the terms past the window's log-terms
+    lt. The terms are log-concave, so their ratios fall: past the window
+    they sum to at most t[K-1] rho / (1 - rho), rho = t[K-1] / t[K-2] < 1."""
+    if lt[-1] == -math.inf:
+        return -math.inf  # Gamma overflowed, here and at every later term
+    log_rho = float(lt[-1] - lt[-2]) if lt.size > 1 else 0.0
+    if log_rho >= 0.0:
+        return math.inf
+    return float(lt[-1]) + log_rho - math.log(-math.expm1(log_rho))
+
+
+def _table_end(pmf: np.ndarray, cdf: np.ndarray, log_z: float) -> Optional[int]:
+    """Length R + 1 of the table over 0..R, where R is the first r whose cdf
+    reaches the mass floor while pmf(r+1) + ... + pmf(r+_LOOKAHEAD) is below
+    _TAIL_ATOL; None if no such r has its lookahead inside the arrays."""
+    start = int(np.searchsorted(cdf, _mass_floor(log_z)))
+    after = pmf[start + 1:]
+    if after.size < _LOOKAHEAD:
+        return None
+    ends = np.flatnonzero(np.convolve(after, np.ones(_LOOKAHEAD), "valid") < _TAIL_ATOL)
+    return start + int(ends[0]) + 1 if ends.size else None
+
+
+def _normalized_window(alpha: float, beta: float, m: float, ctrl: SeriesControl):
+    """log Z and the (pmf, cdf) table, from one pass over the log-terms of
+    a window [0, K). The window is sized to reach below both rel_tol (by
+    the tail bound) and the table's end rule, widened if either fails, and
+    never longer than max_terms.
+    """
+    log_m = math.log(m)
+    log_tol = math.log(ctrl.rel_tol)
+    drop = max(-log_tol, -math.log(_TAIL_ATOL / _LOOKAHEAD)) + _WINDOW_MARGIN
+    need = _term_window(alpha, beta, log_m, drop) + _LOOKAHEAD
+    size = math.ceil(min(need, ctrl.max_terms))
+    while True:
+        lt = _log_terms(alpha, beta, log_m, np.arange(size))
+        peak = float(lt.max())
+        if peak == -math.inf:  # Gamma(beta) overflows, and so does every term
+            raise DomainError("normalizer is not positive and finite")
+        log_z = peak + math.log(float(np.exp(lt - peak).sum()))
+        if _log_tail(lt) - log_z <= log_tol:
+            pmf = np.exp(lt - log_z)
+            cdf = np.cumsum(pmf)
+            end = _table_end(pmf, cdf, log_z)
+            if end is not None:
+                return log_z, pmf[:end], cdf[:end]
+        if size == ctrl.max_terms:
+            raise NonConvergenceError(
+                f"the normalizer needs about {math.ceil(max(need, size + 1)):.3g} terms,"
+                f" more than max_terms = {ctrl.max_terms}"
+            )
+        size = min(2 * size, ctrl.max_terms)
+
+
 @dataclass(frozen=True)
 class WrightPoisson:
-    """Validated parameters plus the precomputed log-normalizer.
+    """Validated parameters, the log-normalizer and the pmf/cdf table over
+    the support, from one window of log-terms.
 
     Immutable; build through :func:`new_wright_poisson`.
     """
@@ -91,21 +166,20 @@ class WrightPoisson:
     m: float
     log_normalizer: float
     ctrl: SeriesControl
+    _pmf: np.ndarray = field(repr=False, compare=False)
+    _cdf: np.ndarray = field(repr=False, compare=False)
 
     # -- pmf / cdf ----------------------------------------------------
 
     def _log_pmf(self, r):
         """log pmf at an integer or at an array of integers."""
-        return (
-            r * math.log(self.m)
-            - sc.gammaln(self.alpha * r + self.beta)
-            - self.log_normalizer
-        )
+        return _log_terms(self.alpha, self.beta, math.log(self.m), r) - self.log_normalizer
 
     def log_pmf(self, r: int) -> float:
-        if r < 0:
-            raise DomainError("r must be a nonnegative integer")
-        return float(self._log_pmf(r))
+        # nan fails the sign test; inf % 1 is nan
+        if not (r >= 0 and r % 1 == 0):
+            raise DomainError(f"r must be a nonnegative integer, got {r!r}")
+        return float(self._log_pmf(int(r)))
 
     def pmf(self, r: int) -> float:
         return math.exp(self.log_pmf(r))
@@ -124,52 +198,26 @@ class WrightPoisson:
 
     def cdf(self, r: int) -> float:
         """P(X <= r); past the end of the support table, its total mass."""
-        if r < 0:
-            raise DomainError("r must be a nonnegative integer")
-        cdf = self._support[1]
-        return float(cdf[min(int(r), cdf.size - 1)])
+        if not (r >= 0 and math.isfinite(r)):
+            raise DomainError(f"r must be finite and nonnegative, got {r!r}")
+        return float(self._cdf[min(int(r), self._cdf.size - 1)])
 
     def quantile(self, p: float) -> int:
         if not (0.0 <= p < 1.0):
             raise DomainError("quantile requires p in [0, 1)")
-        cdf = self._support[1]
-        r = int(np.searchsorted(cdf, p, side="left"))
-        if r == cdf.size:
+        r = int(np.searchsorted(self._cdf, p, side="left"))
+        if r == self._cdf.size:
             raise NonConvergenceError(
-                f"p = {p} lies above the tabulated mass {cdf[-1]!r}"
+                f"p = {p} lies above the tabulated mass {self._cdf[-1]!r}"
             )
         return r
 
     # -- support table ------------------------------------------------
 
-    def _mass_floor(self) -> float:
-        """Cumulative mass that marks the bulk as summed. One ulp of log Z
-        is the relative error of every pmf value, and so of their total."""
-        return 1.0 - _MASS_TOL - math.ulp(self.log_normalizer)
-
-    @cached_property
-    def _support(self):
-        """(pmf, cdf) over 0..R, built once: R is the first r whose cdf reaches
-        the mass floor while the next _LOOKAHEAD pmf values sum below _TAIL_ATOL."""
-        floor = self._mass_floor()
-        size = 64
-        while True:
-            pmf = np.exp(self._log_pmf(np.arange(size)))
-            cdf = np.cumsum(pmf)
-            # tail[r] = pmf(r+1) + ... + pmf(r+_LOOKAHEAD)
-            tail = sliding_window_view(pmf[1:], _LOOKAHEAD).sum(axis=1)
-            ends = np.flatnonzero((cdf[: tail.size] >= floor) & (tail < _TAIL_ATOL))
-            if ends.size:
-                end = int(ends[0]) + 1
-                return pmf[:end], cdf[:end]
-            if size > _SUPPORT_CAP:
-                raise NonConvergenceError("support table exceeded cap")
-            size = min(2 * size, _SUPPORT_CAP + _LOOKAHEAD + 1)
-
     def support_pmf(self) -> np.ndarray:
         """pmf values 0..R where R is the 1 - _MASS_TOL cutoff (with a
         16-term lookahead confirming the tail is dead)."""
-        return self._support[0].copy()
+        return self._pmf.copy()
 
     def expectation(self, weight: Callable[[int], float]) -> float:
         """sum_r weight(r) * pmf(r), stopped once the cumulative mass is
@@ -179,7 +227,7 @@ class WrightPoisson:
         sum continues well past the mass cutoff until the weighted
         contributions themselves die out.
         """
-        floor = self._mass_floor()
+        floor = _mass_floor(self.log_normalizer)
         pmf = np.empty(0)
         partial = 0.0
         mass = 0.0
@@ -281,47 +329,39 @@ class WrightPoisson:
     # -- mgf / sampling -----------------------------------------------
 
     def mgf(self, t: float) -> float:
-        """E[e^{tX}] = E_{a,b}(e^t m) / E_{a,b}(m)."""
+        """E[e^{tX}] = E_{a,b}(e^t m) / E_{a,b}(m); the numerator is the
+        normalizer at rate e^t m, from a window of its own."""
         if not math.isfinite(t):
             raise DomainError("t must be finite")
         z = exp_saturating(t) * self.m
         if z == math.inf:
             raise DomainError(f"t = {t!r} is too large: e^t * m overflows")
-        num = mittag_leffler2(self.alpha, self.beta, z, self.ctrl)
-        return exp_saturating(num.log_value - self.log_normalizer)
+        log_num = _normalized_window(self.alpha, self.beta, z, self.ctrl)[0]
+        return exp_saturating(log_num - self.log_normalizer)
 
     def sample(self, n: int, seed: int) -> SampleBatch:
         """n i.i.d. draws by CDF inversion; deterministic given seed."""
         if n < 1:
             raise DomainError("sample requires n >= 1")
-        cdf = self._support[1]
         rng = np.random.default_rng(seed)
         u = rng.random(n)
         # u above the tabulated mass clamps to the last support point
-        values = np.searchsorted(cdf, u, side="left")
-        values = np.minimum(values, len(cdf) - 1)
+        values = np.searchsorted(self._cdf, u, side="left")
+        values = np.minimum(values, len(self._cdf) - 1)
         return SampleBatch(values=values.astype(np.int64), seed=int(seed), n=int(n))
 
 
 def new_wright_poisson(
     alpha: float, beta: float, m: float, ctrl: Optional[SeriesControl] = None
 ) -> WrightPoisson:
-    """Validate parameters and precompute the log-normalizer."""
+    """Validate parameters; build the log-normalizer and the support table."""
     if ctrl is None:
         ctrl = SeriesControl()
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 0):
-        raise DomainError("alpha must be > 0")
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
-        raise DomainError("beta must be > 0")
-    if not (isinstance(m, (int, float)) and math.isfinite(m) and m > 0):
-        raise DomainError("m must be > 0")
-    norm = mittag_leffler2(float(alpha), float(beta), float(m), ctrl)
-    if not (norm.value > 0.0) or math.isnan(norm.log_value):
-        raise DomainError("normalizer is not positive and finite")
-    return WrightPoisson(
-        alpha=float(alpha),
-        beta=float(beta),
-        m=float(m),
-        log_normalizer=norm.log_value,
-        ctrl=ctrl,
-    )
+    for name, x in (("alpha", alpha), ("beta", beta), ("m", m)):
+        if not isinstance(x, numbers.Real):
+            raise DomainError(f"{name} must be a real number, got {type(x).__name__}")
+        if not (math.isfinite(x) and x > 0):
+            raise DomainError(f"{name} must be > 0")
+    alpha, beta, m = float(alpha), float(beta), float(m)
+    log_z, pmf, cdf = _normalized_window(alpha, beta, m, ctrl)
+    return WrightPoisson(alpha, beta, m, log_z, ctrl, pmf, cdf)

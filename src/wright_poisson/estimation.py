@@ -14,6 +14,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -88,6 +89,11 @@ class CountData:
     @property
     def mean(self) -> float:
         return self.sum / self.n
+
+    @cached_property
+    def histogram(self) -> tuple:
+        """(distinct counts, how often each occurs), computed once."""
+        return np.unique(self.counts, return_counts=True)
 
 
 @dataclass(frozen=True)
@@ -187,7 +193,7 @@ def log_likelihood(
         ctrl = SeriesControl()
     if not (alpha > 0 and beta > 0 and m > 0):
         raise DomainError("alpha, beta, m must all be > 0")
-    uniq, wts = np.unique(data.counts, return_counts=True)
+    uniq, wts = data.histogram
     norm = mittag_leffler2(alpha, beta, m, ctrl)
     gam = float(np.dot(wts, sc.gammaln(alpha * uniq + beta)))
     return data.sum * math.log(m) - gam - data.n * norm.log_value
@@ -270,7 +276,7 @@ def fit_full(data: CountData, ctrl: Optional[SeriesControl] = None) -> FitResult
     if np.all(data.counts == data.counts[0]):
         raise DegenerateDataError("all counts equal: shape parameters unidentified")
 
-    uniq, wts = np.unique(data.counts, return_counts=True)
+    uniq, wts = data.histogram
     lo, hi = math.log(SHAPE_BOX[0]), math.log(SHAPE_BOX[1])
     best = None  # (key, FitResult, x, gradient of ll in x, its observed part)
     total_iters = 0

@@ -6,6 +6,12 @@ log-space terms scaled by their peak, so very large normalizers stay
 representable through their logarithm even when the linear value would
 overflow. Terms whose lower gamma argument sits on a pole of the gamma
 function contribute exactly zero.
+
+The Mittag-Leffler terms z^k / Gamma(alpha k + beta) with z > 0 and
+beta > 0 are log-concave in k, since ln Gamma is convex on (0, inf).
+``_term_window`` sizes a window over them from the peak; the
+distribution's normalizer is one such window, and ``mittag_leffler2``
+sizes its first block with it.
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ _POLE_ATOL = 1e-12
 
 # terms in the first block of a series; each further block doubles it
 _FIRST_BLOCK = 32
+# largest peak argument and window end _term_window works with: no window
+# near it fits in memory
+_PEAK_ARG_CAP = 1e300
 
 
 class DomainError(ValueError):
@@ -206,9 +215,38 @@ def wright_term(spec: WrightSpec, k: int) -> float:
     return 0.0 if logmag[0] == -np.inf else float(sign[0] * np.exp(logmag[0]))
 
 
-def _sum_terms(log_terms: Callable, ctrl: SeriesControl) -> SeriesResult:
-    """Sum sign * exp(logmag) over k in [0, K) for K = 32, 64, ... up to
-    max_terms, until the consecutive-small stop rule holds.
+def _term_window(alpha: float, beta: float, log_z: float, drop: float) -> float:
+    """End K of a window [0, K) past which the log-concave terms
+    z^k / Gamma(alpha k + beta) (z > 0, beta > 0) lie about ``drop`` nats
+    below their peak; an estimate, large rather than small.
+
+    The peak argument x = alpha k + beta solves alpha psi(x) = log z, with
+    psi(x) ~ log(x - 1/2). Past it the log-terms fall by
+    x ((1 + u) log(1 + u) - u) at k = k* + u x / alpha, a convex function of
+    u; one Newton step from the Gaussian guess sqrt(2 drop / x), which lies
+    below its root, lands at or above the root. The spread of the terms is
+    about sqrt(k* / alpha). When the terms fall from k = 0, each step falls
+    at least as far as the first, which bounds the window too.
+    """
+    x = max(min(exp_saturating(log_z / alpha), _PEAK_ARG_CAP) + 0.5, beta, 1.0)
+    u = math.sqrt(2.0 * drop / x)
+    grow = math.log1p(u)
+    u += (drop / x - ((1.0 + u) * grow - u)) / grow
+    end = ((x - beta) + u * x) / alpha + 1.0
+    try:
+        first_fall = math.lgamma(alpha + beta) - math.lgamma(beta) - log_z
+    except OverflowError:  # Gamma(alpha + beta) overflows: only k = 0 counts
+        first_fall = math.inf
+    if first_fall > 0.0:
+        end = min(end, drop / first_fall + 1.0)
+    return min(end, _PEAK_ARG_CAP)
+
+
+def _sum_terms(
+    log_terms: Callable, ctrl: SeriesControl, size: int = _FIRST_BLOCK
+) -> SeriesResult:
+    """Sum sign * exp(logmag) over k in [0, K) for K = size, 2 size, ... up
+    to max_terms, until the consecutive-small stop rule holds.
 
     ``log_terms(k)`` maps an index array to (logmag, sign); a zero term
     has logmag -inf, and an undefined one also has sign nan. The small
@@ -217,7 +255,6 @@ def _sum_terms(log_terms: Callable, ctrl: SeriesControl) -> SeriesResult:
     """
     log_tol = math.log(ctrl.rel_tol)
     first = ctrl.min_terms - 1
-    size = _FIRST_BLOCK
     while True:
         size = min(size, ctrl.max_terms)
         k = np.arange(size, dtype=float)
@@ -276,14 +313,23 @@ def mittag_leffler2(
 ) -> SeriesResult:
     """Two-parameter Mittag-Leffler: sum z^k / Gamma(alpha k + beta).
 
-    beta may be any finite real; pole terms vanish.
+    beta may be any finite real; pole terms vanish. For z > 0 and
+    beta > 0 the first block reaches past the terms' peak to about where
+    they fall below rel_tol; the block that meets the stop rule holds the
+    peak either way, so the sum is the same as with the default block.
     """
     if not (alpha > 0.0):
         raise DomainError("mittag_leffler2 requires alpha > 0")
     if not math.isfinite(beta):
         raise DomainError("beta must be finite")
     z = _finite_z(z)
-    return _sum_terms(lambda k: _lower_gamma(*_power(z, k), alpha * k + beta), ctrl)
+    size = _FIRST_BLOCK
+    if z > 0.0 and beta > 0.0:
+        end = _term_window(alpha, beta, math.log(z), -math.log(ctrl.rel_tol))
+        size = math.ceil(min(end, ctrl.max_terms)) + ctrl.consecutive_small
+    return _sum_terms(
+        lambda k: _lower_gamma(*_power(z, k), alpha * k + beta), ctrl, size
+    )
 
 
 def mittag_leffler3(

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import gammaln, logsumexp
 
+from wright_poisson import distribution
 from wright_poisson.distribution import new_wright_poisson
 from wright_poisson.special import DomainError, NonConvergenceError, SeriesControl
 
@@ -309,3 +311,117 @@ class TestSupportProperties:
         for r in range(d.support_pmf().size):
             p = min(max(d.cdf(r) - 1e-12, 0.0), math.nextafter(1.0, 0.0))
             assert d.quantile(p) <= r
+
+
+def _reference_log_z(a, b, m, terms=20_000):
+    """log Z from gammaln and logsumexp over a fixed, generous range."""
+    k = np.arange(terms)
+    return float(logsumexp(k * math.log(m) - gammaln(a * k + b)))
+
+
+class TestNormalizerWindow:
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("m", [0.1, 1.0, 5.0, 30.0])
+    def test_loose_rel_tol_still_normalizes(self, a, b, m):
+        # rel_tol bounds the normalizer's error, and the table is normalized
+        # by the same window's sum, so the pmf total stays at 1
+        d = new_wright_poisson(a, b, m, SeriesControl(rel_tol=1e-6))
+        assert abs(float(np.sum(d.support_pmf())) - 1.0) <= 1e-10
+        assert abs(d.log_normalizer - _reference_log_z(a, b, m)) <= 1e-6
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=_shape, b=_shape, m=_rate)
+    def test_log_normalizer_against_reference(self, a, b, m):
+        # abs guards log Z = 0, where Z = 1 and a relative error means nothing
+        assert new_wright_poisson(a, b, m).log_normalizer == pytest.approx(
+            _reference_log_z(a, b, m), rel=1e-14, abs=1e-15
+        )
+
+    @pytest.mark.parametrize(
+        "args,message",
+        # the terms peak near k = 5^10 / 0.1, and past any float at alpha =
+        # 1e-10; Poisson(30)'s table ends past 40
+        [((0.1, 1.0, 5.0), r"needs about 9.79e\+07 terms"),
+         ((1e-10, 1.0, 2.0), r"needs about 1e\+300 terms"),
+         ((1.0, 1.0, 30.0, SeriesControl(max_terms=40)), r"needs about \d+ terms, more than max_terms = 40")],
+        ids=["far-peak", "overflowing-peak", "capped"],
+    )
+    def test_past_max_terms_names_the_terms(self, args, message):
+        with pytest.raises(NonConvergenceError, match=message):
+            new_wright_poisson(*args)
+
+    def test_normalizer_below_the_float_range(self):
+        # every 1 / Gamma(1e308 + k) underflows: log Z is about -7e310
+        with pytest.raises(DomainError, match="normalizer"):
+            new_wright_poisson(1.0, 1e308, 2.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_gamma_overflow_after_the_first_term(self):
+        # Gamma(alpha k + 1) overflows for k >= 1: Z = 1 + 2 / inf
+        d = new_wright_poisson(1e308, 1.0, 2.0)
+        assert d.log_normalizer == 0.0 and d.support_pmf().tolist() == [1.0]
+
+    def test_short_window_is_widened(self, monkeypatch):
+        # a window that ends before the peak, then one whose table is cut
+        monkeypatch.setattr(distribution, "_term_window", lambda *args: 4.0)
+        d = new_wright_poisson(1.0, 1.0, 200.0)
+        assert d.log_normalizer == pytest.approx(200.0, rel=1e-14)
+        assert abs(float(np.sum(d.support_pmf())) - 1.0) <= 1e-12
+        assert d.cdf(200) == pytest.approx(stats.poisson.cdf(200, 200.0), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "a,b,m", [(1.0, 1.0, 30.0), (0.793, 1.431, 19.0), (0.5, 0.5, 5.0), (2.0, 1.0, 0.1)]
+    )
+    def test_table_end_rule(self, a, b, m):
+        # the first r whose cdf reaches the mass floor while the next 16 pmf
+        # values sum below 1e-15, found by a plain loop
+        d = new_wright_poisson(a, b, m)
+        pmf = [d.pmf(r) for r in range(d.support_pmf().size + 64)]
+        floor = 1.0 - 1e-13 - math.ulp(d.log_normalizer)
+        cdf = 0.0
+        for r, p in enumerate(pmf):
+            cdf += p
+            if cdf >= floor and math.fsum(pmf[r + 1:r + 17]) < 1e-15:
+                break
+        assert d.support_pmf().size == r + 1
+
+    def test_pmf_matches_table(self):
+        d = new_wright_poisson(0.793, 1.431, 19.0)
+        table = d.support_pmf()
+        # math.exp and numpy's exp may round the same log apart by an ulp
+        assert [d.pmf(r) for r in range(table.size)] == pytest.approx(table, rel=1e-15)
+
+
+class TestArguments:
+    @pytest.mark.parametrize("r", [2.5, math.nan, math.inf, -math.inf])
+    def test_pmf_needs_a_finite_integer(self, r):
+        d = new_wright_poisson(1.0, 1.0, 3.0)
+        for query in (d.pmf, d.log_pmf):
+            with pytest.raises(DomainError, match=f"got {r!r}"):
+                query(r)
+
+    def test_pmf_accepts_integral_values(self):
+        d = new_wright_poisson(1.0, 1.0, 3.0)
+        want = 4.5 * math.exp(-3.0)
+        for r in (2, 2.0, np.int64(2), np.float32(2.0)):
+            assert d.pmf(r) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_cdf_needs_a_finite_r(self, r):
+        with pytest.raises(DomainError, match="finite"):
+            new_wright_poisson(1.0, 1.0, 3.0).cdf(r)
+
+    @pytest.mark.parametrize("m", [np.int64(5), np.float32(2.5), np.float64(0.5)])
+    def test_numpy_scalar_parameters(self, m):
+        want = new_wright_poisson(1.0, 1.0, float(m)).log_normalizer
+        assert new_wright_poisson(1.0, 1.0, m).log_normalizer == want
+        assert new_wright_poisson(np.float32(1.0), np.int64(1), m).log_normalizer == want
+
+    @pytest.mark.parametrize(
+        "args,name", [((1.0, 1.0, "5"), "str"), ((1.0, 1j, 5.0), "complex"),
+                      ((None, 1.0, 5.0), "NoneType")]
+    )
+    def test_non_real_parameters_name_the_type(self, args, name):
+        with pytest.raises(DomainError, match=f"got {name}"):
+            new_wright_poisson(*args)

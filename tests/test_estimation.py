@@ -241,3 +241,23 @@ class TestFitFullProfileSearch:
         for bump in (1.0 - 1e-3, 1.0 + 1e-3):
             for alpha, beta in ((full.alpha * bump, full.beta), (full.alpha, full.beta * bump)):
                 assert fit_m(data, alpha, beta).log_likelihood <= full.log_likelihood
+
+
+class TestCountHistogram:
+    def test_histogram_of_counts(self):
+        uniq, wts = CountData.from_counts([3, 0, 3, 1, 3]).histogram
+        assert uniq.tolist() == [0, 1, 3] and wts.tolist() == [1, 1, 3]
+
+    def test_computed_once_per_data(self, poisson4_data, monkeypatch):
+        calls = []
+        unique = np.unique
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        first = log_likelihood(poisson4_data, 1.2, 0.9, 3.0)
+        fit_m(poisson4_data, 1.2, 0.9)
+        assert log_likelihood(poisson4_data, 1.2, 0.9, 3.0) == first
+        assert len(calls) == 1

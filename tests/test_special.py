@@ -3,7 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import special as sc
 
+from wright_poisson import special
 from wright_poisson.special import (
     DomainError,
     NonConvergenceError,
@@ -324,3 +326,36 @@ class TestNonFiniteArgument:
     def test_wright_spec(self, z):
         with pytest.raises(DomainError, match="z must be finite"):
             WrightSpec([(1.0, 1.0)], [(1.0, 1.0)], z)
+
+
+class TestSizedFirstBlock:
+    """For z > 0 and beta > 0 mittag_leffler2 starts from a block sized at
+    the terms' peak; the sum must be the one the default block gives."""
+
+    @pytest.mark.parametrize(
+        "a,b,z,rel_tol",
+        [(1.0, 1.0, 700.0, 1e-15), (0.793, 1.431, 76.0, 1e-15), (0.5, 0.5, 30.0, 1e-15),
+         (2.0, 7.0, 0.01, 1e-15), (0.3, 2.0, 1.5, 1e-6), (5.0, 0.2, 1e4, 1e-10),
+         (1.0, 1.0, 1e-300, 1e-15)],
+    )
+    def test_same_sum_as_default_block(self, a, b, z, rel_tol):
+        ctrl = SeriesControl(rel_tol=rel_tol)
+        res = mittag_leffler2(a, b, z, ctrl)
+        default = special._sum_terms(
+            lambda k: special._lower_gamma(*special._power(z, k), a * k + b), ctrl
+        )
+        assert res == default
+
+    def test_window_is_never_short(self):
+        # the estimate reaches at least to where the terms lie `drop` nats
+        # below their peak, over a grid that spans four decades of each shape
+        for a in np.geomspace(0.1, 10.0, 9):
+            for b in np.geomspace(0.1, 10.0, 9):
+                for z in np.geomspace(1e-3, 1e4, 12):
+                    for drop in (20.0, 45.0):
+                        end = special._term_window(a, b, math.log(z), drop)
+                        if end > 1e5:
+                            continue
+                        k = np.arange(math.ceil(end) + 1)
+                        logt = k * math.log(z) - sc.gammaln(a * k + b)
+                        assert logt[-1] <= logt.max() - drop, (a, b, z, drop)
