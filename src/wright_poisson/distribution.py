@@ -11,7 +11,9 @@ once, over a window [0, K) sized from their peak, and takes both log Z
 from it. The terms are log-concave, so the mass past the window is at
 most a geometric series in the last term ratio; the window ends where
 that bound is below rel_tol and the table's end rule holds inside it.
-cdf, quantile, sample and support_pmf read the table. Every pmf value is
+The windows come from one kernel, ``_normalized_windows``; the table's
+end rule is applied on top of it, and the rate fit uses it alone. cdf,
+quantile, sample and support_pmf read the table. Every pmf value is
 evaluated directly from its logarithm, so none depends on pmf(0), which
 underflows for large m.
 
@@ -122,13 +124,22 @@ def _table_end(pmf: np.ndarray, cdf: np.ndarray, log_z: float) -> Optional[int]:
     return start + int(ends[0]) + 1 if ends.size else None
 
 
-def _normalized_window(alpha: float, beta: float, m: float, ctrl: SeriesControl):
-    """log Z and the (pmf, cdf) table, from one pass over the log-terms of
-    a window [0, K). The window is sized to reach below both rel_tol (by
-    the tail bound) and the table's end rule, widened if either fails, and
-    never longer than max_terms.
+def _positive_real(name: str, x) -> float:
+    """x as a float; a model parameter must be a finite real number > 0."""
+    if not isinstance(x, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {type(x).__name__}")
+    if not (math.isfinite(x) and x > 0):
+        raise DomainError(f"{name} must be > 0")
+    return float(x)
+
+
+def _normalized_windows(alpha: float, beta: float, log_m: float, ctrl: SeriesControl):
+    """Yield (log Z, the terms over a window [0, K) divided by Z) for each
+    window, in order of length, whose terms past K sum to at most rel_tol Z
+    by the tail bound. The first K is sized from the peak to hold the
+    table's end rule too; each next one doubles it. Asking for one past
+    max_terms raises NonConvergenceError naming the terms needed.
     """
-    log_m = math.log(m)
     log_tol = math.log(ctrl.rel_tol)
     drop = max(-log_tol, -math.log(_TAIL_ATOL / _LOOKAHEAD)) + _WINDOW_MARGIN
     need = _term_window(alpha, beta, log_m, drop) + _LOOKAHEAD
@@ -140,17 +151,23 @@ def _normalized_window(alpha: float, beta: float, m: float, ctrl: SeriesControl)
             raise DomainError("normalizer is not positive and finite")
         log_z = peak + math.log(float(np.exp(lt - peak).sum()))
         if _log_tail(lt) - log_z <= log_tol:
-            pmf = np.exp(lt - log_z)
-            cdf = np.cumsum(pmf)
-            end = _table_end(pmf, cdf, log_z)
-            if end is not None:
-                return log_z, pmf[:end], cdf[:end]
+            yield log_z, np.exp(lt - log_z)
         if size == ctrl.max_terms:
             raise NonConvergenceError(
                 f"the normalizer needs about {math.ceil(max(need, size + 1)):.3g} terms,"
                 f" more than max_terms = {ctrl.max_terms}"
             )
         size = min(2 * size, ctrl.max_terms)
+
+
+def _normalized_window(alpha: float, beta: float, m: float, ctrl: SeriesControl):
+    """log Z and the (pmf, cdf) table, from the first window whose table
+    end rule holds inside it."""
+    for log_z, pmf in _normalized_windows(alpha, beta, math.log(m), ctrl):
+        cdf = np.cumsum(pmf)
+        end = _table_end(pmf, cdf, log_z)
+        if end is not None:
+            return log_z, pmf[:end], cdf[:end]
 
 
 @dataclass(frozen=True)
@@ -357,11 +374,8 @@ def new_wright_poisson(
     """Validate parameters; build the log-normalizer and the support table."""
     if ctrl is None:
         ctrl = SeriesControl()
-    for name, x in (("alpha", alpha), ("beta", beta), ("m", m)):
-        if not isinstance(x, numbers.Real):
-            raise DomainError(f"{name} must be a real number, got {type(x).__name__}")
-        if not (math.isfinite(x) and x > 0):
-            raise DomainError(f"{name} must be > 0")
-    alpha, beta, m = float(alpha), float(beta), float(m)
+    alpha = _positive_real("alpha", alpha)
+    beta = _positive_real("beta", beta)
+    m = _positive_real("m", m)
     log_z, pmf, cdf = _normalized_window(alpha, beta, m, ctrl)
     return WrightPoisson(alpha, beta, m, log_z, ctrl, pmf, cdf)

@@ -3,7 +3,10 @@ observed counts, plus delimited-text ingestion.
 
 The rate m is fitted from the score equation E[X] = sample mean, by
 safeguarded Newton steps in log m; the shape (alpha, beta) by L-BFGS-B on
-the profile likelihood, whose gradient is exact at the fitted rate.
+the profile likelihood, whose gradient is exact at the fitted rate. Both
+take log Z and the moments from windows of normalized series terms (the
+distribution's kernel, without its support table), so a fit builds no
+distribution.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy import special as sc
 
-from . import distribution
+from .distribution import _normalized_windows, _positive_real
 from .special import (
     DomainError,
     NonConvergenceError,
@@ -180,6 +183,16 @@ def _looks_numeric(token: str) -> bool:
         return False
 
 
+def _log_likelihood(
+    data: CountData, alpha: float, beta: float, log_m: float, log_z: float
+) -> float:
+    """sum_i log pmf(r_i) = sum(r) log m - sum_i ln Gamma(alpha r_i + beta)
+    - n log Z, over the unique observed counts."""
+    uniq, wts = data.histogram
+    gam = float(np.dot(wts, sc.gammaln(alpha * uniq + beta)))
+    return data.sum * log_m - gam - data.n * log_z
+
+
 def log_likelihood(
     data: CountData,
     alpha: float,
@@ -191,12 +204,11 @@ def log_likelihood(
     observed counts."""
     if ctrl is None:
         ctrl = SeriesControl()
-    if not (alpha > 0 and beta > 0 and m > 0):
-        raise DomainError("alpha, beta, m must all be > 0")
-    uniq, wts = data.histogram
+    alpha = _positive_real("alpha", alpha)
+    beta = _positive_real("beta", beta)
+    m = _positive_real("m", m)
     norm = mittag_leffler2(alpha, beta, m, ctrl)
-    gam = float(np.dot(wts, sc.gammaln(alpha * uniq + beta)))
-    return data.sum * math.log(m) - gam - data.n * norm.log_value
+    return _log_likelihood(data, alpha, beta, math.log(m), norm.log_value)
 
 
 def fit_m(
@@ -209,14 +221,22 @@ def fit_m(
 
     In theta = log m the law is an exponential family in sum(r), so the
     MLE is the one root of log E[X] = log(mean), whose slope in theta is
-    Var[X] / E[X] > 0. Newton steps in theta take both moments from the
-    support table of one distribution; each step is capped at _MAX_STEP
-    and narrows a bracket of the root, and a step out of the bracket
-    becomes a bisection. A root below M_FLOOR (or an all-zero sample)
-    gives M_FLOOR, unconverged. ``iterations`` counts the steps.
+    Var[X] / E[X] > 0. Each Newton step in theta takes log Z, E[X] and
+    Var[X] from one window of normalized series terms at m = e^theta, and
+    the log-likelihood at m-hat comes from one more; each step is capped
+    at _MAX_STEP and narrows a bracket of the root, and a step out of the
+    bracket becomes a bisection. A root below M_FLOOR (or an all-zero
+    sample) gives M_FLOOR, unconverged. ``iterations`` counts the steps.
     """
+    if ctrl is None:
+        ctrl = SeriesControl()
     if data.n < 1:
         raise DomainError("need at least one observation")
+    alpha = _positive_real("alpha", alpha)
+    beta = _positive_real("beta", beta)
+
+    def window(theta):
+        return next(_normalized_windows(alpha, beta, theta, ctrl))
 
     floor = math.log(M_FLOOR)
     m_hat, converged, iters = M_FLOOR, False, 0  # an all-zero sample
@@ -228,9 +248,7 @@ def fit_m(
         for iters in range(1, _MAX_ITER + 1):
             if theta > _LOG_FLOAT_MAX:
                 raise NonConvergenceError("the rate matching the sample mean overflows")
-            pmf = distribution.new_wright_poisson(
-                float(alpha), float(beta), math.exp(theta), ctrl
-            ).support_pmf()
+            pmf = window(theta)[1]
             r = np.arange(pmf.size)
             mean = float(r @ pmf)
             var = float((r - mean) ** 2 @ pmf)
@@ -253,11 +271,12 @@ def fit_m(
                 break
         else:
             raise NonConvergenceError(f"rate fit took more than {_MAX_ITER} steps")
+    log_m = math.log(m_hat)
     return FitResult(
-        alpha=float(alpha),
-        beta=float(beta),
+        alpha=alpha,
+        beta=beta,
         m=float(m_hat),
-        log_likelihood=log_likelihood(data, alpha, beta, m_hat, ctrl),
+        log_likelihood=_log_likelihood(data, alpha, beta, log_m, window(log_m)[0]),
         iterations=iters,
         converged=converged,
         profile="m_only",
@@ -273,6 +292,8 @@ def fit_full(data: CountData, ctrl: Optional[SeriesControl] = None) -> FitResult
     ``converged`` if its projected gradient is within _GRAD_TOL."""
     from scipy import optimize  # imported here: it adds 0.3 s to every cli start
 
+    if ctrl is None:
+        ctrl = SeriesControl()
     if np.all(data.counts == data.counts[0]):
         raise DegenerateDataError("all counts equal: shape parameters unidentified")
 
@@ -286,7 +307,7 @@ def fit_full(data: CountData, ctrl: Optional[SeriesControl] = None) -> FitResult
         alpha, beta = math.exp(x[0]), math.exp(x[1])
         res = fit_m(data, alpha, beta, ctrl)
         total_iters += res.iterations
-        pmf = distribution.new_wright_poisson(alpha, beta, res.m, ctrl).support_pmf()
+        pmf = next(_normalized_windows(alpha, beta, math.log(res.m), ctrl))[1]
         r = np.arange(pmf.size)
         psi = sc.digamma(alpha * r + beta)
         psi_obs = wts * sc.digamma(alpha * uniq + beta)

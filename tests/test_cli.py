@@ -184,6 +184,17 @@ class TestFit:
         code, _, _ = run(capsys, "fit", str(f), "--mode", "m-only")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_shape_exit_2(self, capsys, tmp_path, flag, value):
+        f = tmp_path / "c.txt"
+        f.write_text("1\n2\n")
+        shapes = {"--alpha": "1", "--beta": "1", flag: value}
+        code, _, err = run(capsys, "fit", str(f), "--mode", "m-only",
+                           *(x for kv in shapes.items() for x in kv))
+        assert code == 2
+        assert f"{flag[2:]} must be > 0" in err
+
     def test_full_converges(self, capsys, tmp_path):
         counts = np.random.default_rng(314).poisson(4.0, 20_000)
         f = tmp_path / "counts.txt"

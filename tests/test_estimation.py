@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wright_poisson import distribution, estimation, special
 from wright_poisson.distribution import new_wright_poisson
 from wright_poisson.estimation import (
     CountData,
@@ -13,7 +14,7 @@ from wright_poisson.estimation import (
     load_counts,
     log_likelihood,
 )
-from wright_poisson.special import NonConvergenceError
+from wright_poisson.special import DomainError, NonConvergenceError
 
 
 @pytest.fixture
@@ -191,6 +192,107 @@ class TestFitMScoreEquation:
         # at alpha = 200 the matching rate is near Gamma(201) * mean or above
         with pytest.raises(NonConvergenceError):
             fit_m(CountData.from_counts(counts), 200.0, 1.0)
+
+
+class TestShapeArguments:
+    """A parameter that is not a finite real number > 0 is a DomainError
+    that names it, raised before any series is summed."""
+
+    @pytest.mark.parametrize(
+        "alpha, beta, name",
+        [(math.inf, 1.0, "alpha"), (1.0, math.inf, "beta"), (math.nan, 1.0, "alpha"),
+         (1.0, -1.0, "beta")],
+    )
+    def test_fit_m(self, alpha, beta, name):
+        with pytest.raises(DomainError, match=f"{name} must be > 0"):
+            fit_m(CountData.from_counts([0, 1, 2, 3]), alpha, beta)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((math.inf, 1.0, 1.0), "alpha"), ((1.0, math.inf, 1.0), "beta"),
+         ((1.0, 1.0, math.inf), "m"), ((1.0, 1.0, math.nan), "m"), ((1.0, 1.0, 0.0), "m")],
+    )
+    def test_log_likelihood(self, args, name):
+        with pytest.raises(DomainError, match=f"{name} must be > 0"):
+            log_likelihood(CountData.from_counts([0, 1, 2, 3]), *args)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda data: fit_m(data, "x", 1.0), lambda data: log_likelihood(data, 1.0, "x", 1.0)],
+        ids=["fit_m", "log_likelihood"],
+    )
+    def test_non_real(self, call):
+        with pytest.raises(DomainError, match="must be a real number, got str"):
+            call(CountData.from_counts([0, 1, 2, 3]))
+
+
+def _wright_counts(alpha, beta, m, n, seed):
+    return new_wright_poisson(alpha, beta, m).sample(n, seed=seed).values
+
+
+# the points of TestFitMScoreEquation, then the bench's fit design points
+# (to 4 digits) with 10^4 counts each
+_FIT_POINTS = [
+    (10 ** (-2 / 3), 1.0, lambda: np.random.default_rng(3).poisson(4.0, 10_000)),
+    *[
+        (a, b, lambda a=a, b=b, m=m: _wright_counts(a, b, m, 5_000, 5))
+        for a, b, m in [(1.5, 2.0, 3.0), (0.5, 2.5, 3.0), (0.3, 0.7, 2.0),
+                        (10.0, 1.0, 3e20), (10.0, 0.5, 1e12)]
+    ],
+    (1.0, 1e-6, lambda: [1] + [0] * 999),
+    (1.0, 1e-3, lambda: [1] + [0] * 999),
+    *[
+        (a, b, lambda a=a, b=b, m=m, seed=seed: _wright_counts(a, b, m, 10_000, seed))
+        for seed, (a, b, m) in enumerate(
+            [(1.582, 1.576, 1.932), (1.693, 0.9983, 2.599), (1.189, 1.713, 4.739),
+             (1.504, 0.9853, 6.411), (0.7063, 0.5789, 2.542), (1.353, 0.9043, 12.75),
+             (1.27, 0.8211, 16.21), (0.9442, 1.067, 14.19), (0.7932, 1.431, 19.03)]
+        )
+    ],
+]
+
+
+class TestFitMWindows:
+    """fit_m sums the series once per Newton step and once at m-hat, each
+    time over one window of normalized terms, and builds no distribution."""
+
+    @pytest.fixture
+    def windows(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fit_m sums the series only through its windows")
+
+        for owner in (special, distribution, estimation):
+            monkeypatch.setattr(owner, "mittag_leffler2", forbidden)
+        monkeypatch.setattr(distribution, "new_wright_poisson", forbidden)
+        calls = []
+        log_terms = distribution._log_terms
+
+        def counting(*args):
+            calls.append(1)
+            return log_terms(*args)
+
+        monkeypatch.setattr(distribution, "_log_terms", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "counts, alpha, beta",
+        [(np.random.default_rng(314).poisson(4.0, 20_000), 1.0, 1.0),
+         (np.random.default_rng(314).poisson(4.0, 20_000), 0.3, 0.7),
+         ([1] + [0] * 999, 1.0, 1e-6),  # the root lies below the floor
+         ([0] * 40, 1.0, 1.0)],  # no steps
+        ids=["poisson", "alpha-below-1", "floor", "all-zero"],
+    )
+    def test_one_window_per_step_and_one_at_the_fit(self, windows, counts, alpha, beta):
+        res = fit_m(CountData.from_counts(counts), alpha, beta)
+        assert len(windows) == res.iterations + 1
+
+    @pytest.mark.parametrize("alpha, beta, counts", _FIT_POINTS)
+    def test_log_likelihood_matches_the_public_one(self, alpha, beta, counts):
+        data = CountData.from_counts(counts())
+        res = fit_m(data, alpha, beta)
+        assert res.log_likelihood == pytest.approx(
+            log_likelihood(data, alpha, beta, res.m), rel=1e-12
+        )
 
 
 class TestFitFull:
