@@ -7,15 +7,18 @@ recovers the classical Poisson law.
 
 Construction evaluates the log-terms k log m - ln Gamma(alpha k + beta)
 once, over a window [0, K) sized from their peak, and takes both log Z
-(their log-sum-exp) and the pmf/cdf table (the same array, normalized)
-from it. The terms are log-concave, so the mass past the window is at
+(their log-sum-exp) and the log-pmf/pmf/cdf table (the same array,
+normalized) from it. The terms are log-concave, so the mass past the window is at
 most a geometric series in the last term ratio; the window ends where
 that bound is below rel_tol and the table's end rule holds inside it.
 The windows come from one kernel, ``_normalized_windows``; the table's
-end rule is applied on top of it, and the rate fit uses it alone. cdf,
-quantile, sample and support_pmf read the table. Every pmf value is
-evaluated directly from its logarithm, so none depends on pmf(0), which
-underflows for large m.
+end rule is applied on top of it, and the rate fit uses it alone.
+log_pmf, pmf, cdf and quantile read the log-pmf and the cdf as lists of
+Python floats, which they index or bisect without numpy's per-call cost;
+sample searches the cdf array and support_pmf copies the pmf array. Only
+log_pmf and pmf past the table evaluate the log-terms directly. Every pmf
+value is the exponential of its own log-pmf, so none depends on pmf(0),
+which underflows for large m.
 
 Moments come in three flavors each: a brute-force series over the pmf,
 and two closed forms (Wright-series differences, and shifted
@@ -25,8 +28,10 @@ return the raw E[X^2]; variance is derived as E[X^2] - mean^2.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -133,8 +138,15 @@ def _positive_real(name: str, x) -> float:
     return float(x)
 
 
+def _integer_at_least(name: str, x, low: int) -> int:
+    """x as an int; a count or a seed must be an integer >= low."""
+    if not (isinstance(x, numbers.Integral) and x >= low):
+        raise DomainError(f"{name} must be an integer >= {low}, got {x!r}")
+    return int(x)
+
+
 def _normalized_windows(alpha: float, beta: float, log_m: float, ctrl: SeriesControl):
-    """Yield (log Z, the terms over a window [0, K) divided by Z) for each
+    """Yield (log Z, the log-terms over a window [0, K) minus log Z) for each
     window, in order of length, whose terms past K sum to at most rel_tol Z
     by the tail bound. The first K is sized from the peak to hold the
     table's end rule too; each next one doubles it. Asking for one past
@@ -151,7 +163,7 @@ def _normalized_windows(alpha: float, beta: float, log_m: float, ctrl: SeriesCon
             raise DomainError("normalizer is not positive and finite")
         log_z = peak + math.log(float(np.exp(lt - peak).sum()))
         if _log_tail(lt) - log_z <= log_tol:
-            yield log_z, np.exp(lt - log_z)
+            yield log_z, lt - log_z
         if size == ctrl.max_terms:
             raise NonConvergenceError(
                 f"the normalizer needs about {math.ceil(max(need, size + 1)):.3g} terms,"
@@ -161,19 +173,21 @@ def _normalized_windows(alpha: float, beta: float, log_m: float, ctrl: SeriesCon
 
 
 def _normalized_window(alpha: float, beta: float, m: float, ctrl: SeriesControl):
-    """log Z and the (pmf, cdf) table, from the first window whose table
-    end rule holds inside it."""
-    for log_z, pmf in _normalized_windows(alpha, beta, math.log(m), ctrl):
+    """log Z and the (log-pmf, pmf, cdf) table, from the first window whose
+    table end rule holds inside it."""
+    for log_z, log_pmf in _normalized_windows(alpha, beta, math.log(m), ctrl):
+        pmf = np.exp(log_pmf)
         cdf = np.cumsum(pmf)
         end = _table_end(pmf, cdf, log_z)
         if end is not None:
-            return log_z, pmf[:end], cdf[:end]
+            return log_z, log_pmf[:end], pmf[:end], cdf[:end]
 
 
 @dataclass(frozen=True)
 class WrightPoisson:
-    """Validated parameters, the log-normalizer and the pmf/cdf table over
-    the support, from one window of log-terms.
+    """Validated parameters, the log-normalizer and the log-pmf/pmf/cdf
+    table over the support, from one window of log-terms; the log-pmf and
+    the cdf also as lists of Python floats, for the scalar queries.
 
     Immutable; build through :func:`new_wright_poisson`.
     """
@@ -185,6 +199,8 @@ class WrightPoisson:
     ctrl: SeriesControl
     _pmf: np.ndarray = field(repr=False, compare=False)
     _cdf: np.ndarray = field(repr=False, compare=False)
+    _log_pmf_list: list = field(repr=False, compare=False)
+    _cdf_list: list = field(repr=False, compare=False)
 
     # -- pmf / cdf ----------------------------------------------------
 
@@ -193,10 +209,16 @@ class WrightPoisson:
         return _log_terms(self.alpha, self.beta, math.log(self.m), r) - self.log_normalizer
 
     def log_pmf(self, r: int) -> float:
+        """Read from the table; past it, evaluated from the log-terms."""
         # nan fails the sign test; inf % 1 is nan
         if not (r >= 0 and r % 1 == 0):
             raise DomainError(f"r must be a nonnegative integer, got {r!r}")
-        return float(self._log_pmf(int(r)))
+        r = int(r)
+        if r < len(self._log_pmf_list):
+            return self._log_pmf_list[r]
+        if r > sys.float_info.max:  # no float holds r, and its term underflows
+            return -math.inf
+        return float(self._log_pmf(r))
 
     def pmf(self, r: int) -> float:
         return math.exp(self.log_pmf(r))
@@ -215,18 +237,19 @@ class WrightPoisson:
 
     def cdf(self, r: int) -> float:
         """P(X <= r); past the end of the support table, its total mass."""
-        if not (r >= 0 and math.isfinite(r)):
+        # nan fails the sign test; an int too large for a float is finite
+        if not (r >= 0 and r != math.inf):
             raise DomainError(f"r must be finite and nonnegative, got {r!r}")
-        return float(self._cdf[min(int(r), self._cdf.size - 1)])
+        cdf = self._cdf_list
+        return cdf[min(int(r), len(cdf) - 1)]
 
     def quantile(self, p: float) -> int:
         if not (0.0 <= p < 1.0):
             raise DomainError("quantile requires p in [0, 1)")
-        r = int(np.searchsorted(self._cdf, p, side="left"))
-        if r == self._cdf.size:
-            raise NonConvergenceError(
-                f"p = {p} lies above the tabulated mass {self._cdf[-1]!r}"
-            )
+        cdf = self._cdf_list
+        r = bisect.bisect_left(cdf, p)
+        if r == len(cdf):
+            raise NonConvergenceError(f"p = {p} lies above the tabulated mass {cdf[-1]!r}")
         return r
 
     # -- support table ------------------------------------------------
@@ -358,14 +381,13 @@ class WrightPoisson:
 
     def sample(self, n: int, seed: int) -> SampleBatch:
         """n i.i.d. draws by CDF inversion; deterministic given seed."""
-        if n < 1:
-            raise DomainError("sample requires n >= 1")
-        rng = np.random.default_rng(seed)
-        u = rng.random(n)
+        n = _integer_at_least("n", n, 1)
+        seed = _integer_at_least("seed", seed, 0)
+        u = np.random.default_rng(seed).random(n)
+        values = self._cdf.searchsorted(u, side="left")
         # u above the tabulated mass clamps to the last support point
-        values = np.searchsorted(self._cdf, u, side="left")
-        values = np.minimum(values, len(self._cdf) - 1)
-        return SampleBatch(values=values.astype(np.int64), seed=int(seed), n=int(n))
+        np.minimum(values, self._cdf.size - 1, out=values)
+        return SampleBatch(values=values.astype(np.int64, copy=False), seed=seed, n=n)
 
 
 def new_wright_poisson(
@@ -377,5 +399,5 @@ def new_wright_poisson(
     alpha = _positive_real("alpha", alpha)
     beta = _positive_real("beta", beta)
     m = _positive_real("m", m)
-    log_z, pmf, cdf = _normalized_window(alpha, beta, m, ctrl)
-    return WrightPoisson(alpha, beta, m, log_z, ctrl, pmf, cdf)
+    log_z, log_pmf, pmf, cdf = _normalized_window(alpha, beta, m, ctrl)
+    return WrightPoisson(alpha, beta, m, log_z, ctrl, pmf, cdf, log_pmf.tolist(), cdf.tolist())

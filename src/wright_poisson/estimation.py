@@ -248,7 +248,7 @@ def fit_m(
         for iters in range(1, _MAX_ITER + 1):
             if theta > _LOG_FLOAT_MAX:
                 raise NonConvergenceError("the rate matching the sample mean overflows")
-            pmf = window(theta)[1]
+            pmf = np.exp(window(theta)[1])
             r = np.arange(pmf.size)
             mean = float(r @ pmf)
             var = float((r - mean) ** 2 @ pmf)
@@ -307,7 +307,7 @@ def fit_full(data: CountData, ctrl: Optional[SeriesControl] = None) -> FitResult
         alpha, beta = math.exp(x[0]), math.exp(x[1])
         res = fit_m(data, alpha, beta, ctrl)
         total_iters += res.iterations
-        pmf = next(_normalized_windows(alpha, beta, math.log(res.m), ctrl))[1]
+        pmf = np.exp(next(_normalized_windows(alpha, beta, math.log(res.m), ctrl))[1])
         r = np.arange(pmf.size)
         psi = sc.digamma(alpha * r + beta)
         psi_obs = wts * sc.digamma(alpha * uniq + beta)

@@ -151,6 +151,14 @@ class TestSample:
             float(np.mean(payload["values"]))
         )
 
+    def test_negative_seed_exit_2_names_seed(self, capsys):
+        code, out, err = run(
+            capsys, "sample", "--alpha", "1", "--beta", "1", "--m", "4",
+            "--n", "5", "--seed", "-1",
+        )
+        assert code == 2 and out == ""
+        assert "seed must be an integer >= 0" in err
+
 
 class TestFit:
     def test_m_only(self, capsys, tmp_path):

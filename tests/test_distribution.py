@@ -253,6 +253,27 @@ class TestSampling:
         with pytest.raises(DomainError):
             d.sample(0, seed=1)
 
+    @pytest.mark.parametrize(
+        "n, seed, name",
+        [(2.5, 1, "n"), (2.0, 1, "n"), (-3, 1, "n"), (None, 1, "n"),
+         (5, 1.5, "seed"), (5, -1, "seed"), (5, None, "seed"), (5, "1", "seed")],
+    )
+    def test_bad_arguments_name_themselves_before_drawing(self, monkeypatch, n, seed, name):
+        d = new_wright_poisson(1.0, 1.0, 4.0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sample drew before checking its arguments")
+
+        monkeypatch.setattr(distribution.np.random, "default_rng", forbidden)
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            d.sample(n, seed)
+
+    def test_numpy_integer_arguments(self):
+        d = new_wright_poisson(1.0, 1.0, 4.0)
+        batch = d.sample(np.int64(50), np.int32(5))
+        assert batch.n == 50 and batch.seed == 5 and type(batch.seed) is int
+        assert np.array_equal(batch.values, d.sample(50, 5).values)
+
 
 class TestLargeRate:
     """Poisson rates where pmf(0) underflows; m = 4999 also has a log Z
@@ -407,6 +428,13 @@ class TestArguments:
         for r in (2, 2.0, np.int64(2), np.float32(2.0)):
             assert d.pmf(r) == pytest.approx(want, rel=1e-14)
 
+    def test_integer_past_every_float(self):
+        # 10**400 cannot be converted to a float, but is a valid count
+        d = new_wright_poisson(1.0, 1.0, 3.0)
+        assert d.pmf(10**400) == 0.0
+        assert d.log_pmf(10**400) == -math.inf
+        assert d.cdf(10**400) == np.cumsum(d.support_pmf())[-1] == d.cdf(10**9)
+
     @pytest.mark.parametrize("r", [math.nan, math.inf])
     def test_cdf_needs_a_finite_r(self, r):
         with pytest.raises(DomainError, match="finite"):
@@ -425,3 +453,56 @@ class TestArguments:
     def test_non_real_parameters_name_the_type(self, args, name):
         with pytest.raises(DomainError, match=f"got {name}"):
             new_wright_poisson(*args)
+
+
+# corners and middle of the fit's shape box, m up to 200, and the Poisson line
+_TABLE_POINTS = [(0.1, 0.1, 0.5), (0.1, 10.0, 1.0), (10.0, 0.1, 200.0),
+                 (10.0, 10.0, 200.0), (0.5, 2.0, 30.0), (3.0, 0.3, 150.0),
+                 (1.0, 1.0, 0.1), (1.0, 1.0, 4.0), (1.0, 1.0, 200.0)]
+
+
+class TestTableReads:
+    """Inside the table, pmf, log_pmf, cdf and quantile read lists of Python
+    floats built at construction; their answers are those of the direct
+    formula and of a numpy search, bit for bit."""
+
+    @pytest.mark.parametrize("a, b, m", _TABLE_POINTS)
+    def test_log_pmf_is_the_direct_formula(self, a, b, m):
+        d = new_wright_poisson(a, b, m)
+        for r in range(d.support_pmf().size + 20):
+            assert d.log_pmf(r) == r * math.log(m) - gammaln(a * r + b) - d.log_normalizer, r
+
+    @pytest.mark.parametrize("a, b, m", _TABLE_POINTS)
+    def test_cdf_is_the_cumulative_sum(self, a, b, m):
+        d = new_wright_poisson(a, b, m)
+        cdf = np.cumsum(d.support_pmf())
+        assert [d.cdf(r) for r in range(cdf.size + 5)] == cdf.tolist() + [cdf[-1]] * 5
+
+    @pytest.mark.parametrize("a, b, m", _TABLE_POINTS)
+    def test_quantile_is_the_left_search(self, a, b, m):
+        d = new_wright_poisson(a, b, m)
+        cdf = np.cumsum(d.support_pmf())
+        ties = [p for p in cdf.tolist() if p < 1.0]
+        for p in np.random.default_rng(8).random(500).tolist() + ties:
+            want = int(np.searchsorted(cdf, p, "left"))
+            if want == cdf.size:
+                with pytest.raises(NonConvergenceError):
+                    d.quantile(p)
+            else:
+                assert d.quantile(p) == want, p
+
+    def test_no_numpy_call_inside_the_table(self, monkeypatch):
+        d = new_wright_poisson(0.793, 1.431, 19.0)
+        size = d.support_pmf().size
+        queries = [(d.pmf, range(size)), (d.log_pmf, range(size)),
+                   (d.cdf, range(size + 5)), (d.quantile, [0.0, 0.3, 0.5, 0.999])]
+        want = [[query(x) for x in xs] for query, xs in queries]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a scalar query inside the table called numpy")
+
+        monkeypatch.setattr(np, "searchsorted", forbidden)
+        monkeypatch.setattr(distribution.sc, "gammaln", forbidden)
+        assert [[query(x) for x in xs] for query, xs in queries] == want
+        with pytest.raises(AssertionError, match="called numpy"):
+            d.log_pmf(size)  # past the table, the direct formula
