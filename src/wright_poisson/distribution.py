@@ -16,13 +16,14 @@ end rule is applied on top of it, and the rate fit uses it alone.
 log_pmf, pmf, cdf and quantile read the log-pmf and the cdf as lists of
 Python floats, which they index or bisect without numpy's per-call cost;
 sample searches the cdf array and support_pmf copies the pmf array. Only
-log_pmf and pmf past the table evaluate the log-terms directly. Every pmf
+log_pmf, pmf and expectation past the table evaluate the log-terms. Every pmf
 value is the exponential of its own log-pmf, so none depends on pmf(0),
 which underflows for large m.
 
-Moments come in three flavors each: a brute-force series over the pmf,
-and two closed forms (Wright-series differences, and shifted
-Mittag-Leffler combinations). The closed-form "second moment" routines
+Moments come in three flavors each: a brute-force series over the table's
+pmf, and two closed forms (Wright-series differences, and shifted
+Mittag-Leffler combinations) whose numerators are series of their own and
+whose Z is log_normalizer. The closed-form "second moment" routines
 return the raw E[X^2]; variance is derived as E[X^2] - mean^2.
 """
 
@@ -46,6 +47,7 @@ from .special import (
     SeriesControl,
     SeriesResult,
     WrightSpec,
+    _integer_at_least,
     _term_window,
     mittag_leffler2,
     wright_series,
@@ -86,12 +88,12 @@ class SampleBatch:
     n: int
 
 
-def _ratio(num: SeriesResult, den: SeriesResult) -> float:
-    """num/den with a log-space path when both values are positive, so
+def _ratio(num: SeriesResult, log_den: float) -> float:
+    """num / exp(log_den) with a log-space path when num is positive, so
     huge normalizers cancel before exponentiation."""
     if num.value > 0.0 and not math.isnan(num.log_value):
-        return exp_saturating(num.log_value - den.log_value)
-    return num.value / den.value
+        return exp_saturating(num.log_value - log_den)
+    return num.value / exp_saturating(log_den)
 
 
 def _log_terms(alpha: float, beta: float, log_m: float, r):
@@ -136,13 +138,6 @@ def _positive_real(name: str, x) -> float:
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"{name} must be > 0")
     return float(x)
-
-
-def _integer_at_least(name: str, x, low: int) -> int:
-    """x as an int; a count or a seed must be an integer >= low."""
-    if not (isinstance(x, numbers.Integral) and x >= low):
-        raise DomainError(f"{name} must be an integer >= {low}, got {x!r}")
-    return int(x)
 
 
 def _normalized_windows(alpha: float, beta: float, log_m: float, ctrl: SeriesControl):
@@ -218,7 +213,10 @@ class WrightPoisson:
             return self._log_pmf_list[r]
         if r > sys.float_info.max:  # no float holds r, and its term underflows
             return -math.inf
-        return float(self._log_pmf(r))
+        with np.errstate(invalid="ignore"):
+            log_p = float(self._log_pmf(r))
+        # inf - inf: r log m and ln Gamma(alpha r + beta) overflow, far past the peak
+        return -math.inf if math.isnan(log_p) else log_p
 
     def pmf(self, r: int) -> float:
         return math.exp(self.log_pmf(r))
@@ -263,18 +261,19 @@ class WrightPoisson:
         """sum_r weight(r) * pmf(r), stopped once the cumulative mass is
         complete and the last window of contributions is negligible.
 
+        The pmf is read from the support table and doubled past its end.
         The window guard matters for growing weights like e^{tr}: the
         sum continues well past the mass cutoff until the weighted
         contributions themselves die out.
         """
         floor = _mass_floor(self.log_normalizer)
-        pmf = np.empty(0)
+        pmf = self._pmf
         partial = 0.0
         mass = 0.0
         window: deque = deque(maxlen=_LOOKAHEAD)
         for r in range(self.ctrl.max_terms + 1):
-            if r == pmf.size:
-                pmf = np.exp(self._log_pmf(np.arange(max(64, 2 * r))))
+            if r == pmf.size:  # past the table: evaluate the next r terms
+                pmf = np.append(pmf, np.exp(self._log_pmf(np.arange(r, 2 * r))))
             p = float(pmf[r])
             c = weight(r) * p
             partial += c
@@ -296,9 +295,6 @@ class WrightPoisson:
     def second_moment_series(self) -> float:
         return self.expectation(lambda r: float(r) * r)
 
-    def _normalizer_result(self) -> SeriesResult:
-        return mittag_leffler2(self.alpha, self.beta, self.m, self.ctrl)
-
     def mean_closed_i(self) -> float:
         """Wright-series difference: (Psi[(2,1)] - Psi[(1,1)]) / Psi[(1,1)]."""
         num = wright_series(
@@ -309,35 +305,27 @@ class WrightPoisson:
     def mean_closed_ii(self) -> float:
         """Shifted Mittag-Leffler form:
         (E_{a,b-1}(m) + (1-b) E_{a,b}(m)) / (a E_{a,b}(m))."""
-        den = self._normalizer_result()
         s1 = mittag_leffler2(self.alpha, self.beta - 1.0, self.m, self.ctrl)
-        return (_ratio(s1, den) + (1.0 - self.beta)) / self.alpha
+        return (_ratio(s1, self.log_normalizer) + (1.0 - self.beta)) / self.alpha
 
     def second_moment_closed_i(self) -> float:
-        """E[X^2] from the 2Psi2 + 1Psi1 difference form. The 2Psi2's
-        k = 0, 1 terms vanish at gamma poles by construction."""
-        a, b, m = self.alpha, self.beta, self.m
+        """E[X^2] = E[X(X-1)] + E[X]: the 2Psi2 over Z, whose k = 0, 1
+        terms vanish at gamma poles by construction, plus mean_closed_i."""
         psi22 = wright_series(
-            WrightSpec([(1.0, 1.0), (1.0, 1.0)], [(-1.0, 1.0), (b, a)], m),
+            WrightSpec([(1.0, 1.0), (1.0, 1.0)], [(-1.0, 1.0), (self.beta, self.alpha)], self.m),
             self.ctrl,
         )
-        psi21 = wright_series(WrightSpec([(2.0, 1.0)], [(b, a)], m), self.ctrl)
-        den = self._normalizer_result()
-        return (
-            _ratio(psi22, den)
-            + math.exp(psi21.log_value - self.log_normalizer)
-            - 1.0
-        )
+        return _ratio(psi22, self.log_normalizer) + self.mean_closed_i()
 
     def second_moment_closed_ii(self) -> float:
         """E[X^2] from shifted Mittag-Leffler terms:
         (E_{a,b-2} + (3-2b) E_{a,b-1} + (1-b)^2 E_{a,b}) / (a^2 E_{a,b})."""
         a, b, m = self.alpha, self.beta, self.m
-        den = self._normalizer_result()
+        log_z = self.log_normalizer
         s2 = mittag_leffler2(a, b - 2.0, m, self.ctrl)
         s1 = mittag_leffler2(a, b - 1.0, m, self.ctrl)
         return (
-            _ratio(s2, den) + (3.0 - 2.0 * b) * _ratio(s1, den) + (1.0 - b) ** 2
+            _ratio(s2, log_z) + (3.0 - 2.0 * b) * _ratio(s1, log_z) + (1.0 - b) ** 2
         ) / (a * a)
 
     def moment_report(self) -> MomentReport:
@@ -376,6 +364,8 @@ class WrightPoisson:
         z = exp_saturating(t) * self.m
         if z == math.inf:
             raise DomainError(f"t = {t!r} is too large: e^t * m overflows")
+        if z == 0.0:  # every term past r = 0 carries z^r, below any float
+            return self.pmf(0)
         log_num = _normalized_window(self.alpha, self.beta, z, self.ctrl)[0]
         return exp_saturating(log_num - self.log_normalizer)
 

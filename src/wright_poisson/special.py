@@ -17,6 +17,7 @@ sizes its first block with it.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -48,6 +49,10 @@ _POLE_ATOL = 1e-12
 
 # terms in the first block of a series; each further block doubles it
 _FIRST_BLOCK = 32
+# a series sums at least _MIN_TERMS terms and stops at the first run of
+# _CONSECUTIVE_SMALL terms that are each below rel_tol of the partial sum
+_MIN_TERMS = 8
+_CONSECUTIVE_SMALL = 3
 # largest peak argument and window end _term_window works with: no window
 # near it fits in memory
 _PEAK_ARG_CAP = 1e300
@@ -71,6 +76,13 @@ def exp_saturating(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def _integer_at_least(name: str, x, low: int) -> int:
+    """x as an int; a count, a seed or a term budget must be an integer >= low."""
+    if not (isinstance(x, numbers.Integral) and x >= low):
+        raise DomainError(f"{name} must be an integer >= {low}, got {x!r}")
+    return int(x)
 
 
 def _finite_z(z) -> float:
@@ -112,15 +124,12 @@ class SeriesControl:
     """Truncation policy shared by every series in the package."""
 
     rel_tol: float = 1e-15
-    min_terms: int = 8
     max_terms: int = 10000
-    consecutive_small: int = 3
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise DomainError("rel_tol must be in (0, 1)")
-        if not (1 <= self.min_terms <= self.max_terms):
-            raise DomainError("need 1 <= min_terms <= max_terms")
+        _integer_at_least("max_terms", self.max_terms, _MIN_TERMS)
 
 
 @dataclass(frozen=True)
@@ -254,7 +263,7 @@ def _sum_terms(
     small against a partial sum that underflowed.
     """
     log_tol = math.log(ctrl.rel_tol)
-    first = ctrl.min_terms - 1
+    first = _MIN_TERMS - 1
     while True:
         size = min(size, ctrl.max_terms)
         k = np.arange(size, dtype=float)
@@ -270,7 +279,7 @@ def _sum_terms(
             small = rel <= log_tol + np.log(np.abs(acc))
         # length of the run of small terms that ends at each k
         run = k - np.maximum.accumulate(np.where(small, -1, k))
-        stops = (run[first:] >= ctrl.consecutive_small).nonzero()[0]
+        stops = (run[first:] >= _CONSECUTIVE_SMALL).nonzero()[0]
         if stops.size:
             used = first + int(stops[0]) + 1
             total = float(acc[used - 1])
@@ -326,7 +335,7 @@ def mittag_leffler2(
     size = _FIRST_BLOCK
     if z > 0.0 and beta > 0.0:
         end = _term_window(alpha, beta, math.log(z), -math.log(ctrl.rel_tol))
-        size = math.ceil(min(end, ctrl.max_terms)) + ctrl.consecutive_small
+        size = math.ceil(min(end, ctrl.max_terms)) + _CONSECUTIVE_SMALL
     return _sum_terms(
         lambda k: _lower_gamma(*_power(z, k), alpha * k + beta), ctrl, size
     )

@@ -119,6 +119,14 @@ class TestMgf:
         assert code == 2
         assert "t = 800" in err
 
+    def test_underflowing_e_t_m_is_pmf_0(self, capsys):
+        code, out, _ = run(
+            capsys, "mgf", "--alpha", "1", "--beta", "1", "--m", "2",
+            "--t", "-800", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)[0]["mgf"] == pytest.approx(math.exp(-2.0), rel=1e-15)
+
 
 class TestSample:
     def test_deterministic_output(self, capsys):
@@ -276,6 +284,16 @@ class TestGlobalBehavior:
 
     def test_unknown_command_exit_2(self, capsys):
         assert cli.main(["frobnicate"]) == 2
+
+    def test_too_few_max_terms_names_the_option(self, capsys):
+        code, out, err = run(
+            capsys, "pmf", "--alpha", "1", "--beta", "1", "--m", "1",
+            "--r-max", "2", "--max-terms", "5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "max_terms must be an integer >= 8, got 5" in err
+        assert "min_terms" not in err
 
     def test_import_leaves_out_scipy_optimize(self):
         # only fit_full needs it, and importing it adds about 0.3 s to every start

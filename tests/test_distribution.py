@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,60 @@ class TestMgf:
         with pytest.raises(DomainError, match="t = "):
             d.mgf(t)
 
+    @pytest.mark.parametrize("t", [-800.0, -1e6])
+    def test_t_underflowing_e_t_m_is_pmf_0(self, t):
+        for a, b, m in [(1.0, 1.0, 2.0), (0.5, 1.5, 30.0)]:
+            d = new_wright_poisson(a, b, m)
+            assert d.mgf(t) == d.pmf(0)
+        assert new_wright_poisson(1.0, 1.0, 2.0).mgf(t) == pytest.approx(math.exp(-2.0), rel=1e-15)
+
+
+class TestOneNormalizer:
+    """The moment methods take Z from log_normalizer and the pmf from the
+    support table; only the numerators are series of their own."""
+
+    @pytest.mark.parametrize("a, b, m", [(0.793, 1.431, 19.0), (0.5, 0.5, 5.0), (1.0, 1.0, 4.0)])
+    def test_moment_report_sums_no_mittag_leffler_at_beta(self, monkeypatch, a, b, m):
+        d = new_wright_poisson(a, b, m)
+        betas = []
+        original = distribution.mittag_leffler2
+
+        def recording(alpha, beta, z, ctrl):
+            betas.append(beta)
+            return original(alpha, beta, z, ctrl)
+
+        monkeypatch.setattr(distribution, "mittag_leffler2", recording)
+        d.moment_report()
+        assert sorted(set(betas)) == [b - 2.0, b - 1.0]
+
+    @pytest.mark.parametrize("a, b, m", [(0.793, 1.431, 19.0), (0.5, 0.5, 5.0), (1.0, 1.0, 200.0)])
+    def test_series_moments_start_past_the_table(self, monkeypatch, a, b, m):
+        d = new_wright_poisson(a, b, m)
+        firsts = []
+        original = distribution._log_terms
+
+        def recording(alpha, beta, log_m, r):
+            firsts.append(int(np.asarray(r).flat[0]))
+            return original(alpha, beta, log_m, r)
+
+        monkeypatch.setattr(distribution, "_log_terms", recording)
+        d.mean_series()
+        d.second_moment_series()
+        d.expectation(lambda r: math.exp(0.5 * r))  # a growing weight runs past the table
+        assert firsts
+        assert min(firsts) >= d.support_pmf().size
+
+    @pytest.mark.parametrize("a, b, m", [(0.793, 1.431, 19.0), (0.5, 0.5, 5.0), (1.0, 1.0, 200.0)])
+    def test_expectation_inside_the_table_evaluates_no_term(self, monkeypatch, a, b, m):
+        d = new_wright_poisson(a, b, m)
+        want = float(np.dot(np.exp(-np.arange(d.support_pmf().size)), d.support_pmf()))
+
+        def forbidden(*args):
+            raise AssertionError("expectation evaluated a log-term the table holds")
+
+        monkeypatch.setattr(distribution, "_log_terms", forbidden)
+        assert d.expectation(lambda r: math.exp(-r)) == pytest.approx(want, rel=1e-14)
+
 
 class TestSampling:
     def test_deterministic(self):
@@ -434,6 +489,16 @@ class TestArguments:
         assert d.pmf(10**400) == 0.0
         assert d.log_pmf(10**400) == -math.inf
         assert d.cdf(10**400) == np.cumsum(d.support_pmf())[-1] == d.cdf(10**9)
+
+    @pytest.mark.parametrize("r", [1e308, 10**308], ids=["1e308", "10**308"])
+    def test_r_where_every_log_term_overflows(self, r):
+        # r log m and ln Gamma(r + 1) both overflow; mpmath puts the
+        # log-pmf at -7.0428e310, below every float
+        d = new_wright_poisson(1.0, 1.0, 50.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.log_pmf(r) == -math.inf
+            assert d.pmf(r) == 0.0
 
     @pytest.mark.parametrize("r", [math.nan, math.inf])
     def test_cdf_needs_a_finite_r(self, r):

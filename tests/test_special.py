@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -359,3 +361,18 @@ class TestSizedFirstBlock:
                         k = np.arange(math.ceil(end) + 1)
                         logt = k * math.log(z) - sc.gammaln(a * k + b)
                         assert logt[-1] <= logt.max() - drop, (a, b, z, drop)
+
+
+class TestSeriesControl:
+    def test_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(SeriesControl)] == ["rel_tol", "max_terms"]
+
+    @pytest.mark.parametrize("max_terms", [100.5, 7, 0, -1, True, "100", None])
+    def test_max_terms_must_be_an_integer_of_at_least_8(self, max_terms):
+        with pytest.raises(DomainError, match=re.escape(f"max_terms must be an integer >= 8, got {max_terms!r}")):
+            SeriesControl(max_terms=max_terms)
+
+    @pytest.mark.parametrize("max_terms", [8, np.int64(100)])
+    def test_integral_max_terms_sums(self, max_terms):
+        ctrl = SeriesControl(max_terms=max_terms)
+        assert mittag_leffler2(1.0, 1.0, 1e-3, ctrl).value == pytest.approx(math.exp(1e-3), rel=1e-15)
