@@ -2,11 +2,12 @@
 observed counts, plus delimited-text ingestion.
 
 The rate m is fitted from the score equation E[X] = sample mean, by
-safeguarded Newton steps in log m; the shape (alpha, beta) by L-BFGS-B on
-the profile likelihood, whose gradient is exact at the fitted rate. Both
-take log Z and the moments from windows of normalized series terms (the
-distribution's kernel, without its support table), so a fit builds no
-distribution.
+safeguarded Halley steps in log m from a start at the mean; the shape
+(alpha, beta) by L-BFGS-B on the profile likelihood, whose gradient is
+exact at the fitted rate. Both take log Z and the first three cumulants
+from windows of normalized series terms (the distribution's kernel,
+without its support table), so a fit builds no distribution; the rate
+fit reads its log-likelihood off the last window's log-pmf.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ SHAPE_BOX = (0.1, 10.0)  # search box for alpha and beta
 _START_POINTS = 5  # side of fit_full's start grid
 _FTOL = 1e-15  # L-BFGS-B's tolerance on -ll: small, so the gradient ends the search
 _GRAD_TOL = 1e-8  # on the gradient: per observation and relative to its observed part
-# largest change of log m in one Newton step of fit_m, and its stop tolerance
+# largest change of log m in one step of fit_m, and its stop tolerance
 _MAX_STEP = 2.0
 _THETA_TOL = 1e-10
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -77,17 +78,25 @@ class CountData:
             bad = arr[~np.isfinite(arr) | (arr != np.trunc(arr))]
             if bad.size:
                 raise ParseError(f"{float(bad[0])!r} is not an integer count")
+        if arr.dtype.kind in "fuO":
+            # numpy holds an int past int64 as uint64, float or object, and
+            # converting it would wrap or raise a bare OverflowError
+            flat = arr.ravel()
+            big = flat[np.asarray(abs(flat) >= 2**63, dtype=bool)]
+            if big.size:
+                raise ParseError(f"count {big[0]} does not fit in a 64-bit integer")
         arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 1 or arr.size == 0:
             raise ParseError("need at least one observation")
-        if np.any(arr < 0):
+        if arr.min() < 0:
             raise ParseError("counts must be nonnegative")
-        return cls(
-            counts=arr,
-            n=int(arr.size),
-            sum=int(arr.sum()),
-            sum_sq=int((arr * arr).sum()),
-        )
+        top = int(arr.max())
+        if arr.size * top * top < 2**63:
+            total, total_sq = int(arr.sum()), int((arr * arr).sum())
+        else:  # int64 sums would wrap
+            values = arr.tolist()
+            total, total_sq = sum(values), sum(c * c for c in values)
+        return cls(counts=arr, n=int(arr.size), sum=total, sum_sq=total_sq)
 
     @property
     def mean(self) -> float:
@@ -220,13 +229,20 @@ def fit_m(
     """Maximize the likelihood over m alone, alpha and beta held fixed.
 
     In theta = log m the law is an exponential family in sum(r), so the
-    MLE is the one root of log E[X] = log(mean), whose slope in theta is
-    Var[X] / E[X] > 0. Each Newton step in theta takes log Z, E[X] and
-    Var[X] from one window of normalized series terms at m = e^theta, and
-    the log-likelihood at m-hat comes from one more; each step is capped
-    at _MAX_STEP and narrows a bracket of the root, and a step out of the
-    bracket becomes a bisection. A root below M_FLOOR (or an all-zero
-    sample) gives M_FLOOR, unconverged. ``iterations`` counts the steps.
+    MLE is the one root of g = log E[X] - log(mean), whose derivatives in
+    theta are g' = Var[X] / E[X] > 0 and g'' = k3 / E[X] - g'^2, k3 the
+    third cumulant. The search starts at alpha psi(max(alpha mean - 1/2, 0)
+    + beta), where the terms m^r / Gamma(alpha r + beta) peak 1/(2 alpha)
+    below r = mean. Each step in theta takes E[X], Var[X] and k3 from one
+    window of normalized series terms at m = e^theta and is the Halley step
+    -2 g g' / (2 g'^2 - g g''), or the Newton step -g / g' where that
+    denominator is not above g'^2; it is capped at _MAX_STEP and narrows
+    a bracket of the root, and a step out of the bracket becomes a
+    bisection. A root below M_FLOOR (or an all-zero sample) gives M_FLOOR,
+    unconverged. The log-likelihood is the counts' histogram times the
+    log-pmf of one more window, at m-hat, or, if the largest count lies
+    past that window, the sum over the distinct counts. ``iterations``
+    counts the steps.
     """
     if ctrl is None:
         ctrl = SeriesControl()
@@ -242,8 +258,9 @@ def fit_m(
     m_hat, converged, iters = M_FLOOR, False, 0  # an all-zero sample
     if data.sum:
         target = math.log(data.mean)
-        # start where the terms m^r / Gamma(alpha r + beta) peak at r = mean
-        theta = max(alpha * float(sc.digamma(alpha * data.mean + beta)), floor)
+        # start at the mean, which lies about 1/(2 alpha) past the peak of
+        # the terms m^r / Gamma(alpha r + beta)
+        theta = max(alpha * float(sc.digamma(max(alpha * data.mean - 0.5, 0.0) + beta)), floor)
         lo, hi = -math.inf, math.inf
         for iters in range(1, _MAX_ITER + 1):
             if theta > _LOG_FLOAT_MAX:
@@ -251,7 +268,9 @@ def fit_m(
             pmf = np.exp(window(theta)[1])
             r = np.arange(pmf.size)
             mean = float(r @ pmf)
-            var = float((r - mean) ** 2 @ pmf)
+            dev = r - mean
+            dev_pmf = dev * pmf
+            var = float(dev @ dev_pmf)
             gap = target - math.log(mean) if mean > 0.0 else math.inf
             if gap <= 0.0 and theta <= floor:
                 break  # the root lies below the floor
@@ -259,7 +278,15 @@ def fit_m(
                 lo = theta
             else:
                 hi = theta
-            step = gap * mean / var if var > 0.0 else math.copysign(_MAX_STEP, gap)
+            if var > 0.0:
+                # g = -gap has slope g' = Var / E and curvature g'' = k3 / E - g'^2
+                slope = var / mean
+                curv = float((dev * dev) @ dev_pmf) / mean - slope * slope
+                den = 2.0 * slope * slope + gap * curv
+                # where den <= g'^2 Halley would more than double the Newton step
+                step = 2.0 * gap * slope / den if den > slope * slope else gap / slope
+            else:
+                step = math.copysign(_MAX_STEP, gap)
             nxt = theta + min(max(step, -_MAX_STEP), _MAX_STEP)
             if not lo <= nxt <= hi:
                 nxt = 0.5 * (lo + hi)
@@ -272,11 +299,17 @@ def fit_m(
         else:
             raise NonConvergenceError(f"rate fit took more than {_MAX_ITER} steps")
     log_m = math.log(m_hat)
+    log_z, log_pmf = window(log_m)
+    top = int(data.counts.max())
+    if top < log_pmf.size:  # sum h_r log pmf(r), h the counts' histogram
+        ll = float(np.bincount(data.counts) @ log_pmf[:top + 1])
+    else:
+        ll = _log_likelihood(data, alpha, beta, log_m, log_z)
     return FitResult(
         alpha=alpha,
         beta=beta,
         m=float(m_hat),
-        log_likelihood=_log_likelihood(data, alpha, beta, log_m, window(log_m)[0]),
+        log_likelihood=ll,
         iterations=iters,
         converged=converged,
         profile="m_only",

@@ -194,6 +194,14 @@ class TestFit:
         assert code == 2
         assert "line 2" in err
 
+    def test_count_past_int64_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "big.txt"
+        f.write_text(f"{10**23}\n1\n")
+        code, _, err = run(capsys, "fit", str(f), "--mode", "m-only",
+                           "--alpha", "1", "--beta", "1")
+        assert code == 2
+        assert str(10**23) in err
+
     def test_m_only_requires_shapes(self, capsys, tmp_path):
         f = tmp_path / "c.txt"
         f.write_text("1\n2\n")

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wright_poisson import distribution, estimation, special
 from wright_poisson.distribution import new_wright_poisson
@@ -10,6 +13,7 @@ from wright_poisson.estimation import (
     DegenerateDataError,
     ParseError,
     fit_full,
+    SHAPE_BOX,
     fit_m,
     load_counts,
     log_likelihood,
@@ -76,6 +80,23 @@ class TestCountData:
     def test_non_integer_floats_rejected(self, counts):
         with pytest.raises(ParseError):
             CountData.from_counts(counts)
+
+    @pytest.mark.parametrize(
+        "counts, shown",
+        [([10**23, 1], "100000000000000000000000"),  # numpy keeps it as an object
+         (np.array([2**63, 1], dtype=np.uint64), "9223372036854775808"),
+         ([2**63, 1], "9.223372036854776e+18"),  # numpy makes this list float64
+         ([-(10**23), 1], "-100000000000000000000000")],
+        ids=["object", "uint64", "float", "negative"],
+    )
+    def test_count_past_int64_is_named(self, counts, shown):
+        with pytest.raises(ParseError, match=re.escape(f"count {shown} does not fit")):
+            CountData.from_counts(counts)
+
+    def test_sums_past_int64_are_exact(self):
+        data = CountData.from_counts(np.array([2**62, 2**62]))
+        assert (data.sum, data.sum_sq) == (2**63, 2**125)
+        assert type(data.sum) is int and type(data.sum_sq) is int
 
 
 class TestLogLikelihood:
@@ -290,6 +311,66 @@ class TestFitMWindows:
     def test_log_likelihood_matches_the_public_one(self, alpha, beta, counts):
         data = CountData.from_counts(counts())
         res = fit_m(data, alpha, beta)
+        assert res.log_likelihood == pytest.approx(
+            log_likelihood(data, alpha, beta, res.m), rel=1e-12
+        )
+
+
+class TestFitMSteps:
+    """fit_m starts at the mean and takes Halley steps from the window's
+    third cumulant, and reads the log-likelihood from its last window."""
+
+    @pytest.mark.parametrize("alpha, beta, counts", _FIT_POINTS[-9:])
+    def test_bench_design_points_take_at_most_three_steps(self, alpha, beta, counts):
+        assert fit_m(CountData.from_counts(counts()), alpha, beta).iterations <= 3
+
+    def test_bench_design_points_take_at_most_24_steps_in_all(self):
+        steps = [fit_m(CountData.from_counts(counts()), alpha, beta).iterations
+                 for alpha, beta, counts in _FIT_POINTS[-9:]]
+        assert sum(steps) <= 24
+
+    @pytest.mark.parametrize("alpha, beta, counts", _FIT_POINTS)
+    def test_log_likelihood_needs_no_sort(self, monkeypatch, alpha, beta, counts):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fit_m reads the log-likelihood from its last window")
+
+        data = CountData.from_counts(counts())
+        monkeypatch.setattr(np, "unique", forbidden)
+        res = fit_m(data, alpha, beta)
+        monkeypatch.undo()
+        assert res.log_likelihood == pytest.approx(
+            log_likelihood(data, alpha, beta, res.m), rel=1e-12
+        )
+
+    def test_count_past_the_last_window(self):
+        data = CountData.from_counts([0, 1, 2, 3, 200])
+        res = fit_m(data, 1.0, 1.0)
+        assert "histogram" in vars(data)  # the fallback sums over the distinct counts
+        assert res.log_likelihood == pytest.approx(
+            log_likelihood(data, 1.0, 1.0, res.m), rel=1e-12
+        )
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+class TestFitMProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=_log_uniform(*SHAPE_BOX),
+        beta=_log_uniform(*SHAPE_BOX),
+        lam=_log_uniform(0.05, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fit_solves_the_score_equation(self, alpha, beta, lam, seed):
+        counts = np.random.default_rng(seed).poisson(lam, 500)
+        counts[0] += 1  # the rate of an all-zero sample is the floor, not a root
+        data = CountData.from_counts(counts)
+        res = fit_m(data, alpha, beta)
+        assert res.converged
+        mean = new_wright_poisson(alpha, beta, res.m).mean_series()
+        assert mean == pytest.approx(data.mean, rel=1e-9)
         assert res.log_likelihood == pytest.approx(
             log_likelihood(data, alpha, beta, res.m), rel=1e-12
         )
