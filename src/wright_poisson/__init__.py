@@ -11,8 +11,6 @@ from .special import (
     mittag_leffler,
     mittag_leffler2,
     mittag_leffler3,
-    pochhammer,
-    reciprocal_gamma,
     wright_convergence_index,
     wright_series,
     wright_term,
@@ -41,8 +39,6 @@ __all__ = [
     "mittag_leffler",
     "mittag_leffler2",
     "mittag_leffler3",
-    "pochhammer",
-    "reciprocal_gamma",
     "wright_convergence_index",
     "wright_series",
     "wright_term",

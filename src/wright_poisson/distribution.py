@@ -12,7 +12,7 @@ normalized) from it. The terms are log-concave, so the mass past the window is a
 most a geometric series in the last term ratio; the window ends where
 that bound is below rel_tol and the table's end rule holds inside it.
 The windows come from one kernel, ``_normalized_windows``; the table's
-end rule is applied on top of it, and the rate fit uses it alone.
+end rule is applied on top of it, while mgf and the rate fit use it alone.
 log_pmf, pmf, cdf and quantile read the log-pmf and the cdf as lists of
 Python floats, which they index or bisect without numpy's per-call cost;
 sample searches the cdf array and support_pmf copies the pmf array. Only
@@ -167,17 +167,6 @@ def _normalized_windows(alpha: float, beta: float, log_m: float, ctrl: SeriesCon
         size = min(2 * size, ctrl.max_terms)
 
 
-def _normalized_window(alpha: float, beta: float, m: float, ctrl: SeriesControl):
-    """log Z and the (log-pmf, pmf, cdf) table, from the first window whose
-    table end rule holds inside it."""
-    for log_z, log_pmf in _normalized_windows(alpha, beta, math.log(m), ctrl):
-        pmf = np.exp(log_pmf)
-        cdf = np.cumsum(pmf)
-        end = _table_end(pmf, cdf, log_z)
-        if end is not None:
-            return log_z, log_pmf[:end], pmf[:end], cdf[:end]
-
-
 @dataclass(frozen=True)
 class WrightPoisson:
     """Validated parameters, the log-normalizer and the log-pmf/pmf/cdf
@@ -213,9 +202,10 @@ class WrightPoisson:
             return self._log_pmf_list[r]
         if r > sys.float_info.max:  # no float holds r, and its term underflows
             return -math.inf
-        with np.errstate(invalid="ignore"):
-            log_p = float(self._log_pmf(r))
-        # inf - inf: r log m and ln Gamma(alpha r + beta) overflow, far past the peak
+        # in Python floats inf - inf is a quiet nan: r log m and
+        # ln Gamma(alpha r + beta) overflow, far past the peak
+        log_p = r * math.log(self.m) - float(sc.gammaln(self.alpha * r + self.beta))
+        log_p -= self.log_normalizer
         return -math.inf if math.isnan(log_p) else log_p
 
     def pmf(self, r: int) -> float:
@@ -358,7 +348,7 @@ class WrightPoisson:
 
     def mgf(self, t: float) -> float:
         """E[e^{tX}] = E_{a,b}(e^t m) / E_{a,b}(m); the numerator is the
-        normalizer at rate e^t m, from a window of its own."""
+        normalizer at rate e^t m, from the kernel's first window there."""
         if not math.isfinite(t):
             raise DomainError("t must be finite")
         z = exp_saturating(t) * self.m
@@ -366,7 +356,7 @@ class WrightPoisson:
             raise DomainError(f"t = {t!r} is too large: e^t * m overflows")
         if z == 0.0:  # every term past r = 0 carries z^r, below any float
             return self.pmf(0)
-        log_num = _normalized_window(self.alpha, self.beta, z, self.ctrl)[0]
+        log_num = next(_normalized_windows(self.alpha, self.beta, math.log(z), self.ctrl))[0]
         return exp_saturating(log_num - self.log_normalizer)
 
     def sample(self, n: int, seed: int) -> SampleBatch:
@@ -389,5 +379,13 @@ def new_wright_poisson(
     alpha = _positive_real("alpha", alpha)
     beta = _positive_real("beta", beta)
     m = _positive_real("m", m)
-    log_z, log_pmf, pmf, cdf = _normalized_window(alpha, beta, m, ctrl)
-    return WrightPoisson(alpha, beta, m, log_z, ctrl, pmf, cdf, log_pmf.tolist(), cdf.tolist())
+    # the table comes from the first window whose end rule holds inside it
+    for log_z, log_pmf in _normalized_windows(alpha, beta, math.log(m), ctrl):
+        pmf = np.exp(log_pmf)
+        cdf = np.cumsum(pmf)
+        end = _table_end(pmf, cdf, log_z)
+        if end is not None:
+            cdf = cdf[:end]
+            return WrightPoisson(
+                alpha, beta, m, log_z, ctrl, pmf[:end], cdf, log_pmf[:end].tolist(), cdf.tolist()
+            )

@@ -68,7 +68,6 @@ class CountData:
     counts: np.ndarray
     n: int
     sum: int
-    sum_sq: int
 
     @classmethod
     def from_counts(cls, counts) -> "CountData":
@@ -90,13 +89,11 @@ class CountData:
             raise ParseError("need at least one observation")
         if arr.min() < 0:
             raise ParseError("counts must be nonnegative")
-        top = int(arr.max())
-        if arr.size * top * top < 2**63:
-            total, total_sq = int(arr.sum()), int((arr * arr).sum())
-        else:  # int64 sums would wrap
-            values = arr.tolist()
-            total, total_sq = sum(values), sum(c * c for c in values)
-        return cls(counts=arr, n=int(arr.size), sum=total, sum_sq=total_sq)
+        if arr.size * int(arr.max()) < 2**63:
+            total = int(arr.sum())
+        else:  # an int64 sum would wrap
+            total = sum(arr.tolist())
+        return cls(counts=arr, n=int(arr.size), sum=total)
 
     @property
     def mean(self) -> float:

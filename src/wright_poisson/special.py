@@ -10,8 +10,7 @@ function contribute exactly zero.
 The Mittag-Leffler terms z^k / Gamma(alpha k + beta) with z > 0 and
 beta > 0 are log-concave in k, since ln Gamma is convex on (0, inf).
 ``_term_window`` sizes a window over them from the peak; the
-distribution's normalizer is one such window, and ``mittag_leffler2``
-sizes its first block with it.
+distribution's normalizer is one such window.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ __all__ = [
     "SeriesControl",
     "SeriesResult",
     "log_gamma",
-    "reciprocal_gamma",
-    "pochhammer",
     "wright_convergence_index",
     "wright_term",
     "wright_series",
@@ -148,27 +145,6 @@ def log_gamma(x: float) -> float:
     return float(sc.gammaln(x))
 
 
-def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x), exactly 0 at nonpositive-integer poles."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"reciprocal_gamma requires finite x, got {x}")
-    if _is_gamma_pole(x):
-        return 0.0
-    return float(sc.rgamma(x))
-
-
-def pochhammer(gamma: float, n: int) -> float:
-    """Rising factorial (gamma)_n by the explicit product, so nonpositive
-    gamma is exact."""
-    if n < 0:
-        raise DomainError("pochhammer requires n >= 0")
-    out = 1.0
-    for i in range(int(n)):
-        out *= gamma + i
-    return out
-
-
 def wright_convergence_index(spec: WrightSpec) -> float:
     """Sum of lower weights minus sum of upper weights; the series is
     entire when this exceeds the standard -1 boundary."""
@@ -251,11 +227,10 @@ def _term_window(alpha: float, beta: float, log_z: float, drop: float) -> float:
     return min(end, _PEAK_ARG_CAP)
 
 
-def _sum_terms(
-    log_terms: Callable, ctrl: SeriesControl, size: int = _FIRST_BLOCK
-) -> SeriesResult:
-    """Sum sign * exp(logmag) over k in [0, K) for K = size, 2 size, ... up
-    to max_terms, until the consecutive-small stop rule holds.
+def _sum_terms(log_terms: Callable, ctrl: SeriesControl) -> SeriesResult:
+    """Sum sign * exp(logmag) over k in [0, K) for K = _FIRST_BLOCK,
+    2 _FIRST_BLOCK, ... up to max_terms, until the consecutive-small stop
+    rule holds.
 
     ``log_terms(k)`` maps an index array to (logmag, sign); a zero term
     has logmag -inf, and an undefined one also has sign nan. The small
@@ -264,6 +239,7 @@ def _sum_terms(
     """
     log_tol = math.log(ctrl.rel_tol)
     first = _MIN_TERMS - 1
+    size = _FIRST_BLOCK
     while True:
         size = min(size, ctrl.max_terms)
         k = np.arange(size, dtype=float)
@@ -322,23 +298,14 @@ def mittag_leffler2(
 ) -> SeriesResult:
     """Two-parameter Mittag-Leffler: sum z^k / Gamma(alpha k + beta).
 
-    beta may be any finite real; pole terms vanish. For z > 0 and
-    beta > 0 the first block reaches past the terms' peak to about where
-    they fall below rel_tol; the block that meets the stop rule holds the
-    peak either way, so the sum is the same as with the default block.
+    beta may be any finite real; pole terms vanish.
     """
     if not (alpha > 0.0):
         raise DomainError("mittag_leffler2 requires alpha > 0")
     if not math.isfinite(beta):
         raise DomainError("beta must be finite")
     z = _finite_z(z)
-    size = _FIRST_BLOCK
-    if z > 0.0 and beta > 0.0:
-        end = _term_window(alpha, beta, math.log(z), -math.log(ctrl.rel_tol))
-        size = math.ceil(min(end, ctrl.max_terms)) + _CONSECUTIVE_SMALL
-    return _sum_terms(
-        lambda k: _lower_gamma(*_power(z, k), alpha * k + beta), ctrl, size
-    )
+    return _sum_terms(lambda k: _lower_gamma(*_power(z, k), alpha * k + beta), ctrl)
 
 
 def mittag_leffler3(

@@ -3,18 +3,23 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammaln, logsumexp
 
 from wright_poisson import distribution
 from wright_poisson.distribution import new_wright_poisson
+from wright_poisson.estimation import SHAPE_BOX
 from wright_poisson.special import DomainError, NonConvergenceError, SeriesControl
 
 GRID_SHAPES = (0.5, 1.0, 1.5, 2.0, 3.0)
 GRID_M = (0.1, 1.0, 5.0)
 GRID = [(a, b, m) for a in GRID_SHAPES for b in GRID_SHAPES for m in GRID_M]
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
 class TestConstruction:
@@ -185,6 +190,26 @@ class TestMgf:
         for a, b, m in GRID:
             d = new_wright_poisson(a, b, m)
             assert d.mgf(0.0) == pytest.approx(1.0, rel=1e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_log_uniform(*SHAPE_BOX), b=_log_uniform(*SHAPE_BOX), m=_log_uniform(1e-3, 1e3))
+    def test_at_zero_is_exactly_one(self, a, b, m):
+        # the numerator's window at t = 0 is the table's window, bit for bit
+        try:
+            d = new_wright_poisson(a, b, m)
+        except NonConvergenceError:  # the terms peak past max_terms
+            assume(False)
+        assert d.mgf(0.0) == 1.0
+
+    def test_numerator_builds_no_table(self, monkeypatch):
+        d = new_wright_poisson(0.793, 1.431, 19.0)
+        want = d.mgf(0.5)
+
+        def forbidden(*args):
+            raise AssertionError("mgf applied the table's end rule to its numerator")
+
+        monkeypatch.setattr(distribution, "_table_end", forbidden)
+        assert d.mgf(0.5) == want
 
     def test_classical_closed_form(self):
         d = new_wright_poisson(1.0, 1.0, 1.0)
@@ -571,3 +596,19 @@ class TestTableReads:
         assert [[query(x) for x in xs] for query, xs in queries] == want
         with pytest.raises(AssertionError, match="called numpy"):
             d.log_pmf(size)  # past the table, the direct formula
+
+    @pytest.mark.parametrize("a, b, m", [(0.793, 1.431, 19.0), (0.1, 0.1, 0.5), (10.0, 0.1, 200.0)])
+    def test_past_the_table_sets_no_floating_point_state(self, monkeypatch, a, b, m):
+        # at r = 10^308, ln Gamma(alpha r + beta) overflows, and so does
+        # r log m where m > 1
+        d = new_wright_poisson(a, b, m)
+        size = d.support_pmf().size
+        rs = [size, size + 7, 10 * size, 10**6, 10**308]
+        want = [d.log_pmf(r) for r in rs]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("log_pmf past the table entered np.errstate")
+
+        monkeypatch.setattr(np, "errstate", forbidden)
+        assert [d.log_pmf(r) for r in rs] == want
+        assert want[-1] == -math.inf

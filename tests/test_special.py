@@ -18,8 +18,6 @@ from wright_poisson.special import (
     mittag_leffler,
     mittag_leffler2,
     mittag_leffler3,
-    pochhammer,
-    reciprocal_gamma,
     wright_convergence_index,
     wright_series,
     wright_term,
@@ -47,53 +45,6 @@ class TestLogGamma:
     def test_domain(self, x):
         with pytest.raises(DomainError):
             log_gamma(x)
-
-
-class TestReciprocalGamma:
-    @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -50.0])
-    def test_poles_exact_zero(self, x):
-        assert reciprocal_gamma(x) == 0.0
-
-    def test_near_pole_snaps(self):
-        assert reciprocal_gamma(-3.0 + 1e-13) == 0.0
-
-    def test_positive(self):
-        assert reciprocal_gamma(3.0) == pytest.approx(0.5, rel=1e-15)
-
-    def test_negative_noninteger(self):
-        # Gamma(-0.5) = -2 sqrt(pi)
-        assert reciprocal_gamma(-0.5) == pytest.approx(
-            -1.0 / (2.0 * math.sqrt(math.pi)), rel=1e-13
-        )
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            reciprocal_gamma(math.inf)
-
-
-class TestPochhammer:
-    def test_base_cases(self):
-        for g in (-3.0, 0.0, 0.7, 5.0):
-            assert pochhammer(g, 0) == 1.0
-        assert pochhammer(3.0, 2) == 12.0
-
-    @pytest.mark.parametrize("r", [1, 2, 5, 10])
-    def test_factorial(self, r):
-        assert pochhammer(1.0, r) == pytest.approx(
-            math.exp(log_gamma(r + 1.0)), rel=1e-13
-        )
-
-    def test_recurrence_property(self):
-        rng = np.random.default_rng(5)
-        for g in rng.uniform(-5, 5, 20):
-            for n in range(50):
-                assert pochhammer(g, n + 1) == pytest.approx(
-                    pochhammer(g, n) * (g + n), rel=1e-12, abs=1e-300
-                )
-
-    def test_nonpositive_gamma_exact(self):
-        assert pochhammer(-2.0, 3) == 0.0
-        assert pochhammer(-2.0, 2) == 2.0
 
 
 class TestConvergenceIndex:
@@ -243,7 +194,7 @@ class TestMittagLeffler:
 
     def test_prabhakar_at_zero(self):
         assert mittag_leffler3(0.7, 1.3, 2.5, 0.0).value == pytest.approx(
-            reciprocal_gamma(1.3), rel=1e-14
+            1.0 / math.gamma(1.3), rel=1e-14
         )
 
     def test_wright_ml_equivalence(self):
@@ -331,22 +282,8 @@ class TestNonFiniteArgument:
 
 
 class TestSizedFirstBlock:
-    """For z > 0 and beta > 0 mittag_leffler2 starts from a block sized at
-    the terms' peak; the sum must be the one the default block gives."""
-
-    @pytest.mark.parametrize(
-        "a,b,z,rel_tol",
-        [(1.0, 1.0, 700.0, 1e-15), (0.793, 1.431, 76.0, 1e-15), (0.5, 0.5, 30.0, 1e-15),
-         (2.0, 7.0, 0.01, 1e-15), (0.3, 2.0, 1.5, 1e-6), (5.0, 0.2, 1e4, 1e-10),
-         (1.0, 1.0, 1e-300, 1e-15)],
-    )
-    def test_same_sum_as_default_block(self, a, b, z, rel_tol):
-        ctrl = SeriesControl(rel_tol=rel_tol)
-        res = mittag_leffler2(a, b, z, ctrl)
-        default = special._sum_terms(
-            lambda k: special._lower_gamma(*special._power(z, k), a * k + b), ctrl
-        )
-        assert res == default
+    """_term_window sizes the normalizer's windows from the terms' peak; the
+    window it gives must reach as far below the peak as asked."""
 
     def test_window_is_never_short(self):
         # the estimate reaches at least to where the terms lie `drop` nats
