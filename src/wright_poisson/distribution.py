@@ -11,8 +11,10 @@ once, over a window [0, K) sized from their peak, and takes both log Z
 normalized) from it. The terms are log-concave, so the mass past the window is at
 most a geometric series in the last term ratio; the window ends where
 that bound is below rel_tol and the table's end rule holds inside it.
-The windows come from one kernel, ``_normalized_windows``; the table's
-end rule is applied on top of it, while mgf and the rate fit use it alone.
+The windows come from one kernel, ``_window``, which returns log Z, the
+log-terms and their peak-scaled weights; the table asks it for a window
+twice as long while the end rule fails, and mgf and the rate fit use its
+first window alone.
 log_pmf, pmf, cdf and quantile read the log-pmf and the cdf as lists of
 Python floats, which they index or bisect without numpy's per-call cost;
 sample searches the cdf array and support_pmf copies the pmf array. Only
@@ -47,6 +49,7 @@ from .special import (
     SeriesControl,
     SeriesResult,
     WrightSpec,
+    _DEFAULT_CTRL,
     _integer_at_least,
     _term_window,
     mittag_leffler2,
@@ -140,25 +143,34 @@ def _positive_real(name: str, x) -> float:
     return float(x)
 
 
-def _normalized_windows(alpha: float, beta: float, log_m: float, ctrl: SeriesControl):
-    """Yield (log Z, the log-terms over a window [0, K) minus log Z) for each
-    window, in order of length, whose terms past K sum to at most rel_tol Z
-    by the tail bound. The first K is sized from the peak to hold the
-    table's end rule too; each next one doubles it. Asking for one past
-    max_terms raises NonConvergenceError naming the terms needed.
+def _window(alpha: float, beta: float, log_m: float, ctrl: SeriesControl, size=None):
+    """The first window [0, K) of the log-terms whose terms past K sum to at
+    most rel_tol Z by the tail bound. K starts at ``size``, or by default
+    where the peak says the table's end rule holds too, and doubles until
+    the bound holds; K is capped at max_terms, and a window needed past it
+    raises NonConvergenceError naming the terms needed.
+
+    Returns (log Z, k, lt, w, sum w): the indices k as floats, the
+    log-terms lt at k, and the weights w = exp(lt - peak) whose sum gives
+    log Z, so that w / sum w is the law at rate e^log_m.
     """
     log_tol = math.log(ctrl.rel_tol)
-    drop = max(-log_tol, -math.log(_TAIL_ATOL / _LOOKAHEAD)) + _WINDOW_MARGIN
-    need = _term_window(alpha, beta, log_m, drop) + _LOOKAHEAD
+    if size is None:
+        drop = max(-log_tol, -math.log(_TAIL_ATOL / _LOOKAHEAD)) + _WINDOW_MARGIN
+        size = _term_window(alpha, beta, log_m, drop) + _LOOKAHEAD
+    need = size
     size = math.ceil(min(need, ctrl.max_terms))
     while True:
-        lt = _log_terms(alpha, beta, log_m, np.arange(size))
+        k = np.arange(size, dtype=float)
+        lt = _log_terms(alpha, beta, log_m, k)
         peak = float(lt.max())
         if peak == -math.inf:  # Gamma(beta) overflows, and so does every term
             raise DomainError("normalizer is not positive and finite")
-        log_z = peak + math.log(float(np.exp(lt - peak).sum()))
+        w = np.exp(lt - peak)
+        w_sum = float(w.sum())
+        log_z = peak + math.log(w_sum)
         if _log_tail(lt) - log_z <= log_tol:
-            yield log_z, lt - log_z
+            return log_z, k, lt, w, w_sum
         if size == ctrl.max_terms:
             raise NonConvergenceError(
                 f"the normalizer needs about {math.ceil(max(need, size + 1)):.3g} terms,"
@@ -356,7 +368,7 @@ class WrightPoisson:
             raise DomainError(f"t = {t!r} is too large: e^t * m overflows")
         if z == 0.0:  # every term past r = 0 carries z^r, below any float
             return self.pmf(0)
-        log_num = next(_normalized_windows(self.alpha, self.beta, math.log(z), self.ctrl))[0]
+        log_num = _window(self.alpha, self.beta, math.log(z), self.ctrl)[0]
         return exp_saturating(log_num - self.log_normalizer)
 
     def sample(self, n: int, seed: int) -> SampleBatch:
@@ -375,12 +387,15 @@ def new_wright_poisson(
 ) -> WrightPoisson:
     """Validate parameters; build the log-normalizer and the support table."""
     if ctrl is None:
-        ctrl = SeriesControl()
+        ctrl = _DEFAULT_CTRL
     alpha = _positive_real("alpha", alpha)
     beta = _positive_real("beta", beta)
     m = _positive_real("m", m)
     # the table comes from the first window whose end rule holds inside it
-    for log_z, log_pmf in _normalized_windows(alpha, beta, math.log(m), ctrl):
+    size = None
+    while True:
+        log_z, _, lt, _, _ = _window(alpha, beta, math.log(m), ctrl, size)
+        log_pmf = lt - log_z
         pmf = np.exp(log_pmf)
         cdf = np.cumsum(pmf)
         end = _table_end(pmf, cdf, log_z)
@@ -389,3 +404,8 @@ def new_wright_poisson(
             return WrightPoisson(
                 alpha, beta, m, log_z, ctrl, pmf[:end], cdf, log_pmf[:end].tolist(), cdf.tolist()
             )
+        if lt.size == ctrl.max_terms:
+            raise NonConvergenceError(
+                f"the support table needs more than max_terms = {ctrl.max_terms} terms"
+            )
+        size = 2 * lt.size

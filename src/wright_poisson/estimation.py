@@ -4,10 +4,11 @@ observed counts, plus delimited-text ingestion.
 The rate m is fitted from the score equation E[X] = sample mean, by
 safeguarded Halley steps in log m from a start at the mean; the shape
 (alpha, beta) by L-BFGS-B on the profile likelihood, whose gradient is
-exact at the fitted rate. Both take log Z and the first three cumulants
-from windows of normalized series terms (the distribution's kernel,
-without its support table), so a fit builds no distribution; the rate
-fit reads its log-likelihood off the last window's log-pmf.
+exact at the fitted rate. Both take log Z, the log-terms and their
+weights from windows of series terms (the distribution's kernel, without
+its support table), so a fit builds no distribution: the rate fit takes
+the first three cumulants from the weights, with one exponential pass per
+step, and reads its log-likelihood off the last window's log-terms.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from typing import Optional, Union
 import numpy as np
 from scipy import special as sc
 
-from .distribution import _normalized_windows, _positive_real
+from .distribution import _positive_real, _window
 from .special import (
     DomainError,
     NonConvergenceError,
     SeriesControl,
+    _DEFAULT_CTRL,
     mittag_leffler2,
 )
 
@@ -209,7 +211,7 @@ def log_likelihood(
     """sum_i log pmf(r_i), via sufficient statistics and the unique
     observed counts."""
     if ctrl is None:
-        ctrl = SeriesControl()
+        ctrl = _DEFAULT_CTRL
     alpha = _positive_real("alpha", alpha)
     beta = _positive_real("beta", beta)
     m = _positive_real("m", m)
@@ -229,27 +231,25 @@ def fit_m(
     MLE is the one root of g = log E[X] - log(mean), whose derivatives in
     theta are g' = Var[X] / E[X] > 0 and g'' = k3 / E[X] - g'^2, k3 the
     third cumulant. The search starts at alpha psi(max(alpha mean - 1/2, 0)
-    + beta), where the terms m^r / Gamma(alpha r + beta) peak 1/(2 alpha)
-    below r = mean. Each step in theta takes E[X], Var[X] and k3 from one
-    window of normalized series terms at m = e^theta and is the Halley step
-    -2 g g' / (2 g'^2 - g g''), or the Newton step -g / g' where that
-    denominator is not above g'^2; it is capped at _MAX_STEP and narrows
-    a bracket of the root, and a step out of the bracket becomes a
-    bisection. A root below M_FLOOR (or an all-zero sample) gives M_FLOOR,
-    unconverged. The log-likelihood is the counts' histogram times the
-    log-pmf of one more window, at m-hat, or, if the largest count lies
-    past that window, the sum over the distinct counts. ``iterations``
-    counts the steps.
+    + beta), where the terms t_r = m^r / Gamma(alpha r + beta) peak
+    1/(2 alpha) below r = mean; below a mean of 1 it starts no lower than
+    where E[X] ~ t1 / t0, if there t2 / t1 < 1/2. Each step in theta takes
+    E[X], Var[X] and k3 from the weights of one window of series terms at
+    m = e^theta and is the Halley step -2 g g' / (2 g'^2 - g g''), or the
+    Newton step -g / g' where that denominator is not above g'^2; it is
+    capped at _MAX_STEP and narrows a bracket of the root, and a step out
+    of the bracket becomes a bisection. A root below M_FLOOR (or an
+    all-zero sample) gives M_FLOOR, unconverged. The log-likelihood is the
+    counts' histogram times the log-terms of one more window, at m-hat,
+    less n log Z, or, if the largest count lies past that window, the sum
+    over the distinct counts. ``iterations`` counts the steps.
     """
     if ctrl is None:
-        ctrl = SeriesControl()
+        ctrl = _DEFAULT_CTRL
     if data.n < 1:
         raise DomainError("need at least one observation")
     alpha = _positive_real("alpha", alpha)
     beta = _positive_real("beta", beta)
-
-    def window(theta):
-        return next(_normalized_windows(alpha, beta, theta, ctrl))
 
     floor = math.log(M_FLOOR)
     m_hat, converged, iters = M_FLOOR, False, 0  # an all-zero sample
@@ -257,17 +257,24 @@ def fit_m(
         target = math.log(data.mean)
         # start at the mean, which lies about 1/(2 alpha) past the peak of
         # the terms m^r / Gamma(alpha r + beta)
-        theta = max(alpha * float(sc.digamma(max(alpha * data.mean - 0.5, 0.0) + beta)), floor)
+        theta = alpha * float(sc.digamma(max(alpha * data.mean - 0.5, 0.0) + beta))
+        if data.mean < 1.0:
+            # or no lower than where the first two terms give the mean,
+            # E[X] ~ t1 / t0, if the third is below half the second there
+            lg1 = float(sc.gammaln(alpha + beta))
+            two_terms = target + lg1 - float(sc.gammaln(beta))
+            if two_terms + lg1 - float(sc.gammaln(2.0 * alpha + beta)) < math.log(0.5):
+                theta = max(theta, two_terms)
+        theta = max(theta, floor)
         lo, hi = -math.inf, math.inf
         for iters in range(1, _MAX_ITER + 1):
             if theta > _LOG_FLOAT_MAX:
                 raise NonConvergenceError("the rate matching the sample mean overflows")
-            pmf = np.exp(window(theta)[1])
-            r = np.arange(pmf.size)
-            mean = float(r @ pmf)
-            dev = r - mean
-            dev_pmf = dev * pmf
-            var = float(dev @ dev_pmf)
+            _, k, _, w, w_sum = _window(alpha, beta, theta, ctrl)
+            mean = float(k @ w) / w_sum
+            dev = k - mean
+            dev_w = dev * w
+            var = float(dev @ dev_w) / w_sum
             gap = target - math.log(mean) if mean > 0.0 else math.inf
             if gap <= 0.0 and theta <= floor:
                 break  # the root lies below the floor
@@ -278,7 +285,7 @@ def fit_m(
             if var > 0.0:
                 # g = -gap has slope g' = Var / E and curvature g'' = k3 / E - g'^2
                 slope = var / mean
-                curv = float((dev * dev) @ dev_pmf) / mean - slope * slope
+                curv = float((dev * dev) @ dev_w) / (w_sum * mean) - slope * slope
                 den = 2.0 * slope * slope + gap * curv
                 # where den <= g'^2 Halley would more than double the Newton step
                 step = 2.0 * gap * slope / den if den > slope * slope else gap / slope
@@ -296,10 +303,10 @@ def fit_m(
         else:
             raise NonConvergenceError(f"rate fit took more than {_MAX_ITER} steps")
     log_m = math.log(m_hat)
-    log_z, log_pmf = window(log_m)
+    log_z, _, lt, _, _ = _window(alpha, beta, log_m, ctrl)
     top = int(data.counts.max())
-    if top < log_pmf.size:  # sum h_r log pmf(r), h the counts' histogram
-        ll = float(np.bincount(data.counts) @ log_pmf[:top + 1])
+    if top < lt.size:  # sum h_r log pmf(r), h the counts' histogram
+        ll = float(np.bincount(data.counts) @ lt[:top + 1]) - data.n * log_z
     else:
         ll = _log_likelihood(data, alpha, beta, log_m, log_z)
     return FitResult(
@@ -323,7 +330,7 @@ def fit_full(data: CountData, ctrl: Optional[SeriesControl] = None) -> FitResult
     from scipy import optimize  # imported here: it adds 0.3 s to every cli start
 
     if ctrl is None:
-        ctrl = SeriesControl()
+        ctrl = _DEFAULT_CTRL
     if np.all(data.counts == data.counts[0]):
         raise DegenerateDataError("all counts equal: shape parameters unidentified")
 
@@ -337,8 +344,8 @@ def fit_full(data: CountData, ctrl: Optional[SeriesControl] = None) -> FitResult
         alpha, beta = math.exp(x[0]), math.exp(x[1])
         res = fit_m(data, alpha, beta, ctrl)
         total_iters += res.iterations
-        pmf = np.exp(next(_normalized_windows(alpha, beta, math.log(res.m), ctrl))[1])
-        r = np.arange(pmf.size)
+        log_z, r, lt, _, _ = _window(alpha, beta, math.log(res.m), ctrl)
+        pmf = np.exp(lt - log_z)
         psi = sc.digamma(alpha * r + beta)
         psi_obs = wts * sc.digamma(alpha * uniq + beta)
         observed = np.array([alpha * uniq @ psi_obs, beta * psi_obs.sum()])

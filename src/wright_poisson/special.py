@@ -129,8 +129,16 @@ class SeriesControl:
         _integer_at_least("max_terms", self.max_terms, _MIN_TERMS)
 
 
+# what a caller passing no control gets; frozen, so one instance serves all
+_DEFAULT_CTRL = SeriesControl()
+
+
 @dataclass(frozen=True)
 class SeriesResult:
+    """A summed series and the terms it took. ``converged`` is True on every
+    result returned: a series that misses its stop rule within max_terms
+    raises NonConvergenceError instead."""
+
     value: float
     log_value: float  # nan when value <= 0
     terms_used: int

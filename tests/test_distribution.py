@@ -471,6 +471,27 @@ class TestNormalizerWindow:
         assert abs(float(np.sum(d.support_pmf())) - 1.0) <= 1e-12
         assert d.cdf(200) == pytest.approx(stats.poisson.cdf(200, 200.0), rel=1e-12)
 
+    def test_table_cut_by_its_window_doubles_the_window(self, monkeypatch):
+        want = new_wright_poisson(0.793, 1.431, 19.0)
+        table_end = distribution._table_end
+        sizes = []
+
+        def cut_once(pmf, cdf, log_z):
+            sizes.append(pmf.size)
+            return None if len(sizes) == 1 else table_end(pmf, cdf, log_z)
+
+        monkeypatch.setattr(distribution, "_table_end", cut_once)
+        d = new_wright_poisson(0.793, 1.431, 19.0)
+        assert len(sizes) == 2 and sizes[1] == 2 * sizes[0]
+        assert d.log_normalizer == pytest.approx(want.log_normalizer, rel=1e-15)
+        assert d.support_pmf() == pytest.approx(want.support_pmf(), rel=1e-14)
+
+    def test_table_past_max_terms_is_typed(self):
+        # Poisson(30)'s normalizer meets rel_tol within 80 terms; its table's
+        # end rule does not
+        with pytest.raises(NonConvergenceError, match="more than max_terms = 80"):
+            new_wright_poisson(1.0, 1.0, 30.0, SeriesControl(max_terms=80))
+
     @pytest.mark.parametrize(
         "a,b,m", [(1.0, 1.0, 30.0), (0.793, 1.431, 19.0), (0.5, 0.5, 5.0), (2.0, 1.0, 0.1)]
     )

@@ -333,6 +333,18 @@ class TestFitMSteps:
                  for alpha, beta, counts in _FIT_POINTS[-9:]]
         assert sum(steps) <= 24
 
+    @pytest.mark.parametrize(
+        "counts, alpha, beta, steps",
+        # the mean 3/41 lies below the peak of the terms at r = 0, where the
+        # first two terms give the rate
+        [([0] * 40 + [3], 1.0, 0.05, 4),
+         # the first two terms are no guide: the third is as large there
+         *[([1] * k + [0] * (1000 - k), 0.1, 0.1, 3) for k in (800, 900, 990)]],
+        ids=["two-term-start", "mean-0.8", "mean-0.9", "mean-0.99"],
+    )
+    def test_mean_below_one(self, counts, alpha, beta, steps):
+        assert fit_m(CountData.from_counts(counts), alpha, beta).iterations <= steps
+
     @pytest.mark.parametrize("alpha, beta, counts", _FIT_POINTS)
     def test_log_likelihood_needs_no_sort(self, monkeypatch, alpha, beta, counts):
         def forbidden(*args, **kwargs):
@@ -418,6 +430,14 @@ class TestFitFullProfileSearch:
         full = fit_full(data)
         assert full.converged
         assert full.log_likelihood >= fit_m(data, alpha, beta).log_likelihood
+
+    def test_flat_ridge_reaches_the_box_edge(self):
+        # the profile likelihood is flat to 1e-4 nats along beta: a search
+        # from (1, 1) alone stops near beta = 1, 8.9e-5 nats below this
+        data = CountData.from_counts(np.random.default_rng(3).poisson(8000, 2000))
+        full = fit_full(data)
+        assert full.beta == pytest.approx(SHAPE_BOX[1], rel=1e-12)
+        assert full.log_likelihood >= -11884.25553
 
     def test_interior_optimum_is_a_local_maximum(self):
         gen = new_wright_poisson(1.5, 1.0, 2.0)
