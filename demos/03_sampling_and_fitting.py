@@ -1,7 +1,7 @@
 """Draw samples, then recover the parameters by maximum likelihood.
 
 Shows the round trip: sample from a known member of the family, fit the
-rate by solving the score equation E[X] = sample mean with Newton steps
+rate by solving the score equation E[X] = sample mean with Halley steps
 in log m, and fit all three parameters with a gradient search on the
 profile likelihood over (log alpha, log beta), the rate fit nested.
 """

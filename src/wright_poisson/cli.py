@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 self-check failures, 2 input/parameter errors,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from .special import (
     NonConvergenceError,
     SeriesControl,
     WrightSpec,
+    _DEFAULT_CTRL,
     wright_term,
 )
 
@@ -90,11 +92,18 @@ def _render(fmt: str, headers, rows_raw, out_path):
             _emit(_table(headers, rows), out_path)
 
 
+def _field_rows(record) -> List[list]:
+    """One [name, value] row per field of a result record, in declaration
+    order; a bool prints as its str in every format."""
+    return [[name, str(v) if isinstance(v, bool) else v]
+            for name, v in dataclasses.asdict(record).items()]
+
+
 def _ctrl_from(args) -> SeriesControl:
     rel_tol = args.rel_tol
     if rel_tol is None:
         env = os.environ.get(ENV_REL_TOL)
-        rel_tol = float(env) if env else 1e-15
+        rel_tol = float(env) if env else _DEFAULT_CTRL.rel_tol
     return SeriesControl(rel_tol=rel_tol, max_terms=args.max_terms)
 
 
@@ -119,17 +128,7 @@ def cmd_pmf(args) -> int:
 def cmd_moments(args) -> int:
     d = _dist_from(args)
     rep = d.moment_report()
-    rows = [
-        ["mean_series", rep.mean_series],
-        ["mean_closed_i", rep.mean_closed_i],
-        ["mean_closed_ii", rep.mean_closed_ii],
-        ["m2_series", rep.m2_series],
-        ["m2_closed_i", rep.m2_closed_i],
-        ["m2_closed_ii", rep.m2_closed_ii],
-        ["variance", rep.variance],
-        ["max_method_spread", rep.max_method_spread],
-    ]
-    _render(args.format, ["method", "value"], rows, args.out)
+    _render(args.format, ["method", "value"], _field_rows(rep), args.out)
     if rep.max_method_spread > SPREAD_LIMIT:
         sys.stderr.write(
             f"moment methods disagree: spread {rep.max_method_spread:.3e}\n"
@@ -181,16 +180,7 @@ def cmd_fit(args) -> int:
         res = fit_m(data, args.alpha, args.beta, ctrl)
     else:
         res = fit_full(data, ctrl)
-    rows = [
-        ["alpha", res.alpha],
-        ["beta", res.beta],
-        ["m", res.m],
-        ["log_likelihood", res.log_likelihood],
-        ["iterations", res.iterations],
-        ["converged", str(res.converged)],
-        ["profile", res.profile],
-    ]
-    _render(args.format, ["field", "value"], rows, args.out)
+    _render(args.format, ["field", "value"], _field_rows(res), args.out)
     return EXIT_OK if res.converged else EXIT_NON_CONVERGENCE
 
 
@@ -302,9 +292,9 @@ def _add_common(p: argparse.ArgumentParser, with_params=True):
         p.add_argument("--beta", type=float, required=True)
         p.add_argument("--m", type=float, required=True)
     p.add_argument("--rel-tol", type=float, default=None,
-                   help="series truncation tolerance (default 1e-15, "
+                   help=f"series truncation tolerance (default {_DEFAULT_CTRL.rel_tol:g}, "
                         f"or ${ENV_REL_TOL})")
-    p.add_argument("--max-terms", type=int, default=10000)
+    p.add_argument("--max-terms", type=int, default=_DEFAULT_CTRL.max_terms)
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.add_argument("--out", default=None, help="write output to file")
 

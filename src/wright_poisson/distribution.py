@@ -13,8 +13,8 @@ most a geometric series in the last term ratio; the window ends where
 that bound is below rel_tol and the table's end rule holds inside it.
 The windows come from one kernel, ``_window``, which returns log Z, the
 log-terms and their peak-scaled weights; the table asks it for a window
-twice as long while the end rule fails, and mgf and the rate fit use its
-first window alone.
+twice as long while the end rule fails, and mgf (at log rate t + log m,
+so e^t m is never formed) and the rate fit use its first window alone.
 log_pmf, pmf, cdf and quantile read the log-pmf and the cdf as lists of
 Python floats, which they index or bisect without numpy's per-call cost;
 sample searches the cdf array and support_pmf copies the pmf array. Only
@@ -24,8 +24,8 @@ which underflows for large m.
 
 Moments come in three flavors each: a brute-force series over the table's
 pmf, and two closed forms (Wright-series differences, and shifted
-Mittag-Leffler combinations) whose numerators are series of their own and
-whose Z is log_normalizer. The closed-form "second moment" routines
+Mittag-Leffler combinations) whose numerators are series of their own,
+each divided by Z (log_normalizer) in log space. The closed-form "second moment" routines
 return the raw E[X^2]; variance is derived as E[X^2] - mean^2.
 """
 
@@ -50,6 +50,7 @@ from .special import (
     SeriesResult,
     WrightSpec,
     _DEFAULT_CTRL,
+    _LOG_FLOAT_MAX,
     _integer_at_least,
     _term_window,
     mittag_leffler2,
@@ -92,9 +93,9 @@ class SampleBatch:
 
 
 def _ratio(num: SeriesResult, log_den: float) -> float:
-    """num / exp(log_den) with a log-space path when num is positive, so
-    huge normalizers cancel before exponentiation."""
-    if num.value > 0.0 and not math.isnan(num.log_value):
+    """num / exp(log_den), in log space when num is positive (its log_value
+    is not nan), so a huge or tiny normalizer cancels before exponentiation."""
+    if not math.isnan(num.log_value):
         return exp_saturating(num.log_value - log_den)
     return num.value / exp_saturating(log_den)
 
@@ -200,10 +201,6 @@ class WrightPoisson:
 
     # -- pmf / cdf ----------------------------------------------------
 
-    def _log_pmf(self, r):
-        """log pmf at an integer or at an array of integers."""
-        return _log_terms(self.alpha, self.beta, math.log(self.m), r) - self.log_normalizer
-
     def log_pmf(self, r: int) -> float:
         """Read from the table; past it, evaluated from the log-terms."""
         # nan fails the sign test; inf % 1 is nan
@@ -275,7 +272,8 @@ class WrightPoisson:
         window: deque = deque(maxlen=_LOOKAHEAD)
         for r in range(self.ctrl.max_terms + 1):
             if r == pmf.size:  # past the table: evaluate the next r terms
-                pmf = np.append(pmf, np.exp(self._log_pmf(np.arange(r, 2 * r))))
+                lt = _log_terms(self.alpha, self.beta, math.log(self.m), np.arange(r, 2 * r))
+                pmf = np.append(pmf, np.exp(lt - self.log_normalizer))
             p = float(pmf[r])
             c = weight(r) * p
             partial += c
@@ -302,7 +300,7 @@ class WrightPoisson:
         num = wright_series(
             WrightSpec([(2.0, 1.0)], [(self.beta, self.alpha)], self.m), self.ctrl
         )
-        return math.exp(num.log_value - self.log_normalizer) - 1.0
+        return _ratio(num, self.log_normalizer) - 1.0
 
     def mean_closed_ii(self) -> float:
         """Shifted Mittag-Leffler form:
@@ -360,15 +358,14 @@ class WrightPoisson:
 
     def mgf(self, t: float) -> float:
         """E[e^{tX}] = E_{a,b}(e^t m) / E_{a,b}(m); the numerator is the
-        normalizer at rate e^t m, from the kernel's first window there."""
+        normalizer at rate e^t m, from the kernel's first window at log rate
+        t + log m. Where e^t m underflows, that window holds pmf(0)'s term alone."""
         if not math.isfinite(t):
             raise DomainError("t must be finite")
-        z = exp_saturating(t) * self.m
-        if z == math.inf:
+        log_z = t + math.log(self.m)
+        if log_z > _LOG_FLOAT_MAX:
             raise DomainError(f"t = {t!r} is too large: e^t * m overflows")
-        if z == 0.0:  # every term past r = 0 carries z^r, below any float
-            return self.pmf(0)
-        log_num = _window(self.alpha, self.beta, math.log(z), self.ctrl)[0]
+        log_num = _window(self.alpha, self.beta, log_z, self.ctrl)[0]
         return exp_saturating(log_num - self.log_normalizer)
 
     def sample(self, n: int, seed: int) -> SampleBatch:

@@ -17,7 +17,6 @@ import csv
 import io
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -31,6 +30,7 @@ from .special import (
     NonConvergenceError,
     SeriesControl,
     _DEFAULT_CTRL,
+    _LOG_FLOAT_MAX,
     mittag_leffler2,
 )
 
@@ -53,7 +53,6 @@ _GRAD_TOL = 1e-8  # on the gradient: per observation and relative to its observe
 # largest change of log m in one step of fit_m, and its stop tolerance
 _MAX_STEP = 2.0
 _THETA_TOL = 1e-10
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _MAX_ITER = 200
 
 
@@ -344,12 +343,12 @@ def fit_full(data: CountData, ctrl: Optional[SeriesControl] = None) -> FitResult
         alpha, beta = math.exp(x[0]), math.exp(x[1])
         res = fit_m(data, alpha, beta, ctrl)
         total_iters += res.iterations
-        log_z, r, lt, _, _ = _window(alpha, beta, math.log(res.m), ctrl)
-        pmf = np.exp(lt - log_z)
+        _, r, _, w, w_sum = _window(alpha, beta, math.log(res.m), ctrl)
         psi = sc.digamma(alpha * r + beta)
         psi_obs = wts * sc.digamma(alpha * uniq + beta)
         observed = np.array([alpha * uniq @ psi_obs, beta * psi_obs.sum()])
-        grad = data.n * np.array([alpha * (r * psi) @ pmf, beta * psi @ pmf]) - observed
+        # E[.] under the law w / sum w at m-hat
+        grad = data.n / w_sum * np.array([alpha * (r * psi) @ w, beta * psi @ w]) - observed
         # deterministic tie-break: highest ll, then smallest params
         key = (res.log_likelihood, -res.alpha, -res.beta, -res.m)
         if best is None or key > best[0]:

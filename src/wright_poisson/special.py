@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -65,6 +66,10 @@ class NonConvergenceError(RuntimeError):
 
 class SeriesDivergenceWarning(UserWarning):
     """Convergence index at or below the standard -1 boundary."""
+
+
+# log of the largest float: exp of anything above it overflows
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def exp_saturating(x: float) -> float:
@@ -281,7 +286,7 @@ def _sum_terms(log_terms: Callable, ctrl: SeriesControl) -> SeriesResult:
         size *= 2
 
 
-def wright_series(spec: WrightSpec, ctrl: SeriesControl = SeriesControl()) -> SeriesResult:
+def wright_series(spec: WrightSpec, ctrl: SeriesControl = _DEFAULT_CTRL) -> SeriesResult:
     """Evaluate the generalized Wright series at spec.z."""
     if wright_convergence_index(spec) <= -1.0:
         warnings.warn(
@@ -293,7 +298,7 @@ def wright_series(spec: WrightSpec, ctrl: SeriesControl = SeriesControl()) -> Se
 
 
 def mittag_leffler(
-    alpha: float, z: float, ctrl: SeriesControl = SeriesControl()
+    alpha: float, z: float, ctrl: SeriesControl = _DEFAULT_CTRL
 ) -> SeriesResult:
     """One-parameter Mittag-Leffler: sum z^k / Gamma(1 + alpha k)."""
     if not (alpha > 0.0):
@@ -302,7 +307,7 @@ def mittag_leffler(
 
 
 def mittag_leffler2(
-    alpha: float, beta: float, z: float, ctrl: SeriesControl = SeriesControl()
+    alpha: float, beta: float, z: float, ctrl: SeriesControl = _DEFAULT_CTRL
 ) -> SeriesResult:
     """Two-parameter Mittag-Leffler: sum z^k / Gamma(alpha k + beta).
 
@@ -321,7 +326,7 @@ def mittag_leffler3(
     beta: float,
     gamma: float,
     z: float,
-    ctrl: SeriesControl = SeriesControl(),
+    ctrl: SeriesControl = _DEFAULT_CTRL,
 ) -> SeriesResult:
     """Three-parameter (Prabhakar) Mittag-Leffler:
     sum (gamma)_k z^k / (Gamma(alpha k + beta) k!)."""

@@ -1,6 +1,7 @@
-"""One input cycle of the bench's fit and query_hot workloads, run in-process
-and checked by the workloads' own oracles: a change the benchmark's
-correctness gate would reject fails here first."""
+"""One input cycle of each bench workload, run through the workload's own
+``run`` (in-process, or for ``cli`` one subprocess per command) and checked
+by its own oracles: a change the benchmark's correctness gate would reject
+fails here first."""
 
 import importlib.util
 import pathlib
@@ -9,8 +10,10 @@ import sys
 import pytest
 
 import wright_poisson
+import wright_poisson.cli  # the cli workload compares against cli.main in-process
 
-_BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+_BENCH = _ROOT / "bench"
 _SEED = 1
 
 
@@ -26,9 +29,12 @@ def workloads(monkeypatch):
     return sys.modules["workloads"]
 
 
-@pytest.mark.parametrize("name", ["fit", "query_hot"])
-def test_one_cycle_passes_the_oracles(workloads, name):
-    workload = workloads.WORKLOADS[name](wright_poisson, _SEED)
+@pytest.mark.parametrize("name", ["fit", "query_hot", "cli"])
+def test_one_cycle_passes_the_oracles(workloads, name, tmp_path):
+    # the cli workload runs its subprocesses from the repository root and
+    # writes its counts file and stderr under a work directory
+    paths = (_ROOT, tmp_path) if name == "cli" else ()
+    workload = workloads.WORKLOADS[name](wright_poisson, _SEED, *paths)
     workload.setup()
     failures = {}
     for i in range(workload.cycle):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from wright_poisson import cli
-from wright_poisson.distribution import MomentReport
+from wright_poisson.distribution import MomentReport, new_wright_poisson
+from wright_poisson.estimation import CountData, fit_m
 
 
 def run(capsys, *argv):
@@ -228,6 +230,42 @@ class TestFit:
         vals = {row["field"]: row["value"] for row in json.loads(out)}
         assert vals["converged"] == "True"
         assert vals["profile"] == "full"
+
+
+class TestRecordRows:
+    """moments and fit print one row per field of the library's record, in
+    declaration order, whatever the format."""
+
+    @pytest.fixture(params=["moments", "fit"])
+    def command(self, request, tmp_path):
+        if request.param == "moments":
+            argv = ["moments", "--alpha", "0.7", "--beta", "1.3", "--m", "4"]
+            return argv, new_wright_poisson(0.7, 1.3, 4.0).moment_report()
+        counts = np.random.default_rng(8).poisson(4.0, 500)
+        f = tmp_path / "counts.txt"
+        f.write_text("\n".join(str(c) for c in counts) + "\n")
+        argv = ["fit", str(f), "--mode", "m-only", "--alpha", "1.2", "--beta", "0.9"]
+        return argv, fit_m(CountData.from_counts(counts), 1.2, 0.9)
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_names_every_field_in_order(self, capsys, command, fmt):
+        argv, record = command
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            names = [next(iter(row.values())) for row in json.loads(out)]
+        else:
+            sep = "," if fmt == "csv" else None
+            names = [line.split(sep)[0] for line in out.splitlines()[1:]]
+        assert names == [f.name for f in dataclasses.fields(record)]
+
+    def test_json_values_are_the_records(self, capsys, command):
+        argv, record = command
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        want = {name: str(v) if isinstance(v, bool) else v
+                for name, v in dataclasses.asdict(record).items()}
+        assert dict(row.values() for row in json.loads(out)) == want
 
 
 class TestCheck:

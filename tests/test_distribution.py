@@ -184,6 +184,16 @@ class TestMoments:
         assert rep.mean_series == pytest.approx(2.0, rel=1e-11)
         assert rep.variance == pytest.approx(2.0, rel=1e-10)
 
+    def test_closed_forms_where_the_normalizer_underflows(self):
+        # Z = E_{1,200}(1) is about e^-858: the linear value of every
+        # numerator underflows to 0, and only its log survives
+        rep = new_wright_poisson(1.0, 200.0, 1.0).moment_report()
+        assert rep.mean_closed_i == pytest.approx(rep.mean_series, rel=1e-10)
+        assert rep.m2_closed_i == pytest.approx(rep.m2_series, rel=1e-10)
+        # the shifted forms subtract about beta - 1 from s1 / Z, losing digits
+        assert rep.mean_closed_ii == pytest.approx(rep.mean_series, rel=1e-7)
+        assert rep.m2_closed_ii == pytest.approx(rep.m2_series, rel=1e-5)
+
 
 class TestMgf:
     def test_at_zero_is_one(self):
@@ -243,6 +253,11 @@ class TestMgf:
         d = new_wright_poisson(1.0, 1.0, 2.0)
         with pytest.raises(DomainError, match="t = "):
             d.mgf(t)
+
+    def test_e_t_overflowing_alone_is_summed_in_log_space(self):
+        # e^710 overflows, e^710 * 0.01 = e^705.4 does not; 60-digit mpmath
+        d = new_wright_poisson(170.0, 1.0, 0.01)
+        assert d.mgf(710.0) == pytest.approx(1.3078223550336, rel=1e-12)
 
     @pytest.mark.parametrize("t", [-800.0, -1e6])
     def test_t_underflowing_e_t_m_is_pmf_0(self, t):
@@ -464,7 +479,8 @@ class TestNormalizerWindow:
         assert d.log_normalizer == 0.0 and d.support_pmf().tolist() == [1.0]
 
     def test_short_window_is_widened(self, monkeypatch):
-        # a window that ends before the peak, then one whose table is cut
+        # a window that ends before the peak; the kernel doubles it until the
+        # tail bound holds, and that window already holds the table's end rule
         monkeypatch.setattr(distribution, "_term_window", lambda *args: 4.0)
         d = new_wright_poisson(1.0, 1.0, 200.0)
         assert d.log_normalizer == pytest.approx(200.0, rel=1e-14)
