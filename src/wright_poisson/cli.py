@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from typing import List, Optional
 
@@ -46,10 +47,13 @@ ENV_REL_TOL = "WRIGHT_POISSON_REL_TOL"
 
 _CHECK_GRID_SHAPES = [0.5, 1.0, 1.5, 2.0, 3.0]
 _CHECK_GRID_M = [0.1, 1.0, 5.0]
+# argparse takes only -123 and -1.5 for negative numbers, and -1e-3 for an
+# unknown option; its private matcher, widened to exponents, makes it a value
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def _fmt(x: float, digits: int = 12) -> str:
-    return f"{x:.{digits - 1}e}"
+def _fmt(x: float) -> str:
+    return f"{x:.11e}"
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -184,7 +188,7 @@ def cmd_fit(args) -> int:
     return EXIT_OK if res.converged else EXIT_NON_CONVERGENCE
 
 
-def _run_checks(shapes, ms, tol_scale: Optional[float], ctrl: SeriesControl):
+def _run_checks(shapes, tol_scale: Optional[float], ctrl: SeriesControl):
     """One row per check: (name, params, max_error, tolerance, passed)."""
     results = []
 
@@ -200,11 +204,11 @@ def _run_checks(shapes, ms, tol_scale: Optional[float], ctrl: SeriesControl):
             }
         )
 
-    grid = [(a, b, m) for a in shapes for b in shapes for m in ms]
+    grid = [(a, b, m) for a in shapes for b in shapes for m in _CHECK_GRID_M]
 
     # classical reduction against the closed-form Poisson pmf
     err = 0.0
-    for m in [0.1, 1.0, 5.0]:
+    for m in _CHECK_GRID_M:
         d = new_wright_poisson(1.0, 1.0, m, ctrl)
         lp = -m
         for r in range(51):
@@ -262,7 +266,7 @@ def _run_checks(shapes, ms, tol_scale: Optional[float], ctrl: SeriesControl):
 def cmd_check(args) -> int:
     ctrl = _ctrl_from(args)
     shapes = _CHECK_GRID_SHAPES[: args.grid_size]
-    results = _run_checks(shapes, _CHECK_GRID_M, args.tolerance, ctrl)
+    results = _run_checks(shapes, args.tolerance, ctrl)
     rows = [
         [r["check"], r["params"], float(r["max_error"]),
          "pass" if r["passed"] else "FAIL"]
@@ -287,6 +291,7 @@ def cmd_check(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, with_params=True):
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     if with_params:
         p.add_argument("--alpha", type=float, required=True)
         p.add_argument("--beta", type=float, required=True)

@@ -12,9 +12,8 @@ normalized) from it. The terms are log-concave, so the mass past the window is a
 most a geometric series in the last term ratio; the window ends where
 that bound is below rel_tol and the table's end rule holds inside it.
 The windows come from one kernel, ``_window``, which returns log Z, the
-log-terms and their peak-scaled weights; the table asks it for a window
-twice as long while the end rule fails, and mgf (at log rate t + log m,
-so e^t m is never formed) and the rate fit use its first window alone.
+log-terms and their peak-scaled weights; the table, mgf (at log rate
+t + log m, so e^t m is never formed) and the rate fit each use one window.
 log_pmf, pmf, cdf and quantile read the log-pmf and the cdf as lists of
 Python floats, which they index or bisect without numpy's per-call cost;
 sample searches the cdf array and support_pmf copies the pmf array. Only
@@ -144,22 +143,20 @@ def _positive_real(name: str, x) -> float:
     return float(x)
 
 
-def _window(alpha: float, beta: float, log_m: float, ctrl: SeriesControl, size=None):
+def _window(alpha: float, beta: float, log_m: float, ctrl: SeriesControl):
     """The first window [0, K) of the log-terms whose terms past K sum to at
-    most rel_tol Z by the tail bound. K starts at ``size``, or by default
-    where the peak says the table's end rule holds too, and doubles until
-    the bound holds; K is capped at max_terms, and a window needed past it
-    raises NonConvergenceError naming the terms needed.
+    most rel_tol Z by the tail bound. K starts where the peak says the
+    table's end rule holds too, and doubles until the bound holds; K is
+    capped at max_terms, and a window needed past it raises
+    NonConvergenceError naming the terms needed.
 
     Returns (log Z, k, lt, w, sum w): the indices k as floats, the
     log-terms lt at k, and the weights w = exp(lt - peak) whose sum gives
     log Z, so that w / sum w is the law at rate e^log_m.
     """
     log_tol = math.log(ctrl.rel_tol)
-    if size is None:
-        drop = max(-log_tol, -math.log(_TAIL_ATOL / _LOOKAHEAD)) + _WINDOW_MARGIN
-        size = _term_window(alpha, beta, log_m, drop) + _LOOKAHEAD
-    need = size
+    drop = max(-log_tol, -math.log(_TAIL_ATOL / _LOOKAHEAD)) + _WINDOW_MARGIN
+    need = _term_window(alpha, beta, log_m, drop) + _LOOKAHEAD
     size = math.ceil(min(need, ctrl.max_terms))
     while True:
         k = np.arange(size, dtype=float)
@@ -380,29 +377,24 @@ class WrightPoisson:
 
 
 def new_wright_poisson(
-    alpha: float, beta: float, m: float, ctrl: Optional[SeriesControl] = None
+    alpha: float, beta: float, m: float, ctrl: SeriesControl = _DEFAULT_CTRL
 ) -> WrightPoisson:
     """Validate parameters; build the log-normalizer and the support table."""
-    if ctrl is None:
-        ctrl = _DEFAULT_CTRL
     alpha = _positive_real("alpha", alpha)
     beta = _positive_real("beta", beta)
     m = _positive_real("m", m)
-    # the table comes from the first window whose end rule holds inside it
-    size = None
-    while True:
-        log_z, _, lt, _, _ = _window(alpha, beta, math.log(m), ctrl, size)
-        log_pmf = lt - log_z
-        pmf = np.exp(log_pmf)
-        cdf = np.cumsum(pmf)
-        end = _table_end(pmf, cdf, log_z)
-        if end is not None:
-            cdf = cdf[:end]
-            return WrightPoisson(
-                alpha, beta, m, log_z, ctrl, pmf[:end], cdf, log_pmf[:end].tolist(), cdf.tolist()
-            )
-        if lt.size == ctrl.max_terms:
-            raise NonConvergenceError(
-                f"the support table needs more than max_terms = {ctrl.max_terms} terms"
-            )
-        size = 2 * lt.size
+    # the window reaches far enough below the peak for the table's end rule
+    log_z, _, lt, _, _ = _window(alpha, beta, math.log(m), ctrl)
+    log_pmf = lt - log_z
+    pmf = np.exp(log_pmf)
+    cdf = np.cumsum(pmf)
+    end = _table_end(pmf, cdf, log_z)
+    if end is None:
+        raise NonConvergenceError(
+            f"the support table's end rule does not hold within its window of {lt.size} terms"
+            f" (max_terms = {ctrl.max_terms})"
+        )
+    cdf = cdf[:end]
+    return WrightPoisson(
+        alpha, beta, m, log_z, ctrl, pmf[:end], cdf, log_pmf[:end].tolist(), cdf.tolist()
+    )

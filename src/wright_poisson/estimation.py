@@ -205,12 +205,10 @@ def log_likelihood(
     alpha: float,
     beta: float,
     m: float,
-    ctrl: Optional[SeriesControl] = None,
+    ctrl: SeriesControl = _DEFAULT_CTRL,
 ) -> float:
     """sum_i log pmf(r_i), via sufficient statistics and the unique
     observed counts."""
-    if ctrl is None:
-        ctrl = _DEFAULT_CTRL
     alpha = _positive_real("alpha", alpha)
     beta = _positive_real("beta", beta)
     m = _positive_real("m", m)
@@ -222,7 +220,7 @@ def fit_m(
     data: CountData,
     alpha: float,
     beta: float,
-    ctrl: Optional[SeriesControl] = None,
+    ctrl: SeriesControl = _DEFAULT_CTRL,
 ) -> FitResult:
     """Maximize the likelihood over m alone, alpha and beta held fixed.
 
@@ -243,8 +241,6 @@ def fit_m(
     less n log Z, or, if the largest count lies past that window, the sum
     over the distinct counts. ``iterations`` counts the steps.
     """
-    if ctrl is None:
-        ctrl = _DEFAULT_CTRL
     if data.n < 1:
         raise DomainError("need at least one observation")
     alpha = _positive_real("alpha", alpha)
@@ -319,7 +315,7 @@ def fit_m(
     )
 
 
-def fit_full(data: CountData, ctrl: Optional[SeriesControl] = None) -> FitResult:
+def fit_full(data: CountData, ctrl: SeriesControl = _DEFAULT_CTRL) -> FitResult:
     """Maximize over (alpha, beta, m) by L-BFGS-B on the profile likelihood
     in (log alpha, log beta) from the best point of a log grid on SHAPE_BOX,
     whose centre (1, 1) is the classical fit. As dl/dm = 0 at m-hat,
@@ -328,8 +324,6 @@ def fit_full(data: CountData, ctrl: Optional[SeriesControl] = None) -> FitResult
     ``converged`` if its projected gradient is within _GRAD_TOL."""
     from scipy import optimize  # imported here: it adds 0.3 s to every cli start
 
-    if ctrl is None:
-        ctrl = _DEFAULT_CTRL
     if np.all(data.counts == data.counts[0]):
         raise DegenerateDataError("all counts equal: shape parameters unidentified")
 

@@ -51,6 +51,27 @@ class TestPmf:
         assert out == ""
         assert "--r-max" in err
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_non_convergence_exit_4(self, capsys, fmt):
+        code, out, err = run(
+            capsys, "pmf", "--alpha", "0.1", "--beta", "1", "--m", "5",
+            "--r-max", "2", "--format", fmt,
+        )
+        assert code == 4
+        assert out == ""
+        assert "needs about 9.79e+07 terms" in err
+
+    def test_table_reports_final_cdf(self, capsys):
+        code, out, err = run(
+            capsys, "pmf", "--alpha", "1", "--beta", "1", "--m", "1", "--r-max", "2",
+        )
+        assert code == 0
+        d = new_wright_poisson(1.0, 1.0, 1.0)
+        assert [line.split() for line in out.splitlines()] == [["r", "pmf", "cdf"]] + [
+            [str(r), f"{d.pmf(r):.11e}", f"{d.cdf(r):.11e}"] for r in range(3)
+        ]
+        assert err == f"final cdf: {d.cdf(2):.11e}\n"
+
     def test_csv_header(self, capsys):
         code, out, _ = run(
             capsys, "pmf", "--alpha", "1", "--beta", "1", "--m", "1",
@@ -113,6 +134,23 @@ class TestMgf:
         assert rows[0]["mgf"] == pytest.approx(1.0, rel=1e-12)
         assert rows[1]["mgf"] == pytest.approx(math.e, rel=1e-12)
 
+    @pytest.mark.parametrize("ts", [["-1e-3"], ["0.5", "-1e-3", "-2E+1"]])
+    def test_negative_t_in_exponent_form(self, capsys, ts):
+        code, out, _ = run(
+            capsys, "mgf", "--alpha", "1", "--beta", "1", "--m", "1",
+            "--t", *ts, "--format", "json",
+        )
+        assert code == 0
+        d = new_wright_poisson(1.0, 1.0, 1.0)
+        assert json.loads(out) == [{"t": float(t), "mgf": d.mgf(float(t))} for t in ts]
+
+    def test_negative_shape_in_exponent_form_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "mgf", "--alpha", "-1e-3", "--beta", "1", "--m", "1", "--t", "0",
+        )
+        assert code == 2 and out == ""
+        assert "alpha" in err
+
     def test_overflowing_t_exit_2(self, capsys):
         code, _, err = run(
             capsys, "mgf", "--alpha", "1", "--beta", "1", "--m", "2",
@@ -148,6 +186,19 @@ class TestSample:
         lines = out.strip().splitlines()
         assert lines[0] == "value"
         assert int(lines[1]) >= 0
+
+    def test_table_lists_values_then_moments(self, capsys):
+        code, out, _ = run(
+            capsys, "sample", "--alpha", "1", "--beta", "1", "--m", "4",
+            "--n", "5", "--seed", "3",
+        )
+        assert code == 0
+        values = new_wright_poisson(1.0, 1.0, 4.0).sample(5, 3).values
+        *lines, summary = out.splitlines()
+        assert lines == [str(v) for v in values]
+        assert summary == (
+            f"mean {float(values.mean()):.11e} variance {float(values.var()):.11e}"
+        )
 
     def test_json_summary(self, capsys):
         code, out, _ = run(

@@ -157,6 +157,12 @@ class TestMoments:
             assert d.second_moment_closed_i() == pytest.approx(want, rel=1e-11)
             assert d.second_moment_closed_ii() == pytest.approx(want, rel=1e-11)
 
+    def test_expectation_past_max_terms_is_typed(self):
+        # e^{3r} pmf(r) at m = 4 peaks near r = 4 e^3: past 60 terms
+        d = new_wright_poisson(1.0, 1.0, 4.0, SeriesControl(max_terms=60))
+        with pytest.raises(NonConvergenceError, match="moment series exceeded max_terms"):
+            d.expectation(lambda r: math.exp(3 * r))
+
     def test_tiny_m_limit(self):
         d = new_wright_poisson(1.5, 2.0, 1e-8)
         assert abs(d.mean_series()) <= 1e-7
@@ -487,26 +493,35 @@ class TestNormalizerWindow:
         assert abs(float(np.sum(d.support_pmf())) - 1.0) <= 1e-12
         assert d.cdf(200) == pytest.approx(stats.poisson.cdf(200, 200.0), rel=1e-12)
 
-    def test_table_cut_by_its_window_doubles_the_window(self, monkeypatch):
-        want = new_wright_poisson(0.793, 1.431, 19.0)
-        table_end = distribution._table_end
+    def test_table_end_outside_its_window_is_typed(self, monkeypatch):
+        # the kernel's window reaches as far below the peak as the end rule
+        # needs, so the table takes that one window or raises
         sizes = []
 
-        def cut_once(pmf, cdf, log_z):
+        def no_end(pmf, cdf, log_z):
             sizes.append(pmf.size)
-            return None if len(sizes) == 1 else table_end(pmf, cdf, log_z)
+            return None
 
-        monkeypatch.setattr(distribution, "_table_end", cut_once)
-        d = new_wright_poisson(0.793, 1.431, 19.0)
-        assert len(sizes) == 2 and sizes[1] == 2 * sizes[0]
-        assert d.log_normalizer == pytest.approx(want.log_normalizer, rel=1e-15)
-        assert d.support_pmf() == pytest.approx(want.support_pmf(), rel=1e-14)
+        monkeypatch.setattr(distribution, "_table_end", no_end)
+        with pytest.raises(NonConvergenceError) as err:
+            new_wright_poisson(0.793, 1.431, 19.0)
+        assert len(sizes) == 1
+        assert f"within its window of {sizes[0]} terms (max_terms = 10000)" in str(err.value)
 
     def test_table_past_max_terms_is_typed(self):
-        # Poisson(30)'s normalizer meets rel_tol within 80 terms; its table's
-        # end rule does not
+        # Poisson(30)'s normalizer needs about 110 terms by the tail bound,
+        # so the kernel raises before the table's end rule is tried
         with pytest.raises(NonConvergenceError, match="more than max_terms = 80"):
             new_wright_poisson(1.0, 1.0, 30.0, SeriesControl(max_terms=80))
+
+    def test_table_end_past_max_terms_is_typed(self):
+        # 96 terms hold Poisson(30)'s normalizer to rel_tol; the table's end
+        # rule needs more
+        with pytest.raises(
+            NonConvergenceError,
+            match=r"end rule does not hold within its window of 96 terms \(max_terms = 96\)",
+        ):
+            new_wright_poisson(1.0, 1.0, 30.0, SeriesControl(max_terms=96))
 
     @pytest.mark.parametrize(
         "a,b,m", [(1.0, 1.0, 30.0), (0.793, 1.431, 19.0), (0.5, 0.5, 5.0), (2.0, 1.0, 0.1)]

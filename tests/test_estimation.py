@@ -66,6 +66,23 @@ class TestLoadCounts:
         with pytest.raises(ParseError, match="nope"):
             load_counts(str(f), column="nope")
 
+    def test_integral_float_line(self, tmp_path):
+        f = tmp_path / "counts.txt"
+        f.write_text("3.0\n")
+        assert load_counts(str(f)).counts.tolist() == [3]
+
+    def test_named_column_without_header(self, tmp_path):
+        f = tmp_path / "counts.txt"
+        f.write_text("2\n5\n")
+        with pytest.raises(ParseError, match="requested but file has no header"):
+            load_counts(str(f), column="n")
+
+    def test_short_row_names_line(self, tmp_path):
+        f = tmp_path / "data.csv"
+        f.write_text("a,b\n1,2\n3\n")
+        with pytest.raises(ParseError, match="line 3: missing column 1"):
+            load_counts(str(f), column="b")
+
     def test_tab_delimited_index(self, tmp_path):
         f = tmp_path / "data.tsv"
         f.write_text("a\tn\nx\t4\ny\t6\n")
@@ -92,6 +109,14 @@ class TestCountData:
     )
     def test_count_past_int64_is_named(self, counts, shown):
         with pytest.raises(ParseError, match=re.escape(f"count {shown} does not fit")):
+            CountData.from_counts(counts)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [([], "need at least one observation"), ([-1, 2], "counts must be nonnegative")],
+    )
+    def test_empty_or_negative_rejected(self, counts, message):
+        with pytest.raises(ParseError, match=message):
             CountData.from_counts(counts)
 
     def test_fields(self):

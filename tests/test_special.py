@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import re
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import special as sc
 
+import wright_poisson
 from wright_poisson import special
 from wright_poisson.special import (
     DomainError,
@@ -303,6 +305,18 @@ class TestSizedFirstBlock:
 class TestSeriesControl:
     def test_settable_fields(self):
         assert [f.name for f in dataclasses.fields(SeriesControl)] == ["rel_tol", "max_terms"]
+
+    def test_public_callables_default_to_one_control(self):
+        checked = set()
+        for name in wright_poisson.__all__:
+            obj = getattr(wright_poisson, name)
+            if isinstance(obj, type) or not callable(obj):
+                continue
+            params = inspect.signature(obj).parameters
+            if "ctrl" in params:
+                assert params["ctrl"].default is special._DEFAULT_CTRL, name
+                checked.add(name)
+        assert {"new_wright_poisson", "log_likelihood", "fit_m", "fit_full"} <= checked
 
     @pytest.mark.parametrize("max_terms", [100.5, 7, 0, -1, True, "100", None])
     def test_max_terms_must_be_an_integer_of_at_least_8(self, max_terms):
