@@ -20,13 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from .distribution import WrightPoisson, new_wright_poisson
-from .estimation import (
-    DegenerateDataError,
-    ParseError,
-    fit_full,
-    fit_m,
-    load_counts,
-)
+from .estimation import ParseError, fit_full, fit_m, load_counts
 from .special import (
     DomainError,
     NonConvergenceError,
@@ -359,8 +353,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (DomainError, ParseError, DegenerateDataError, FileNotFoundError,
-            ValueError) as exc:
+    # DomainError, ParseError and DegenerateDataError are ValueErrors; an
+    # OSError is a path that cannot be read or written
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT
     except NonConvergenceError as exc:

@@ -6,11 +6,11 @@ series at m (equivalently a 1Psi1 Wright series). alpha = beta = 1
 recovers the classical Poisson law.
 
 Construction evaluates the log-terms k log m - ln Gamma(alpha k + beta)
-once, over a window [0, K) sized from their peak, and takes both log Z
+once, over a window [0, K) sized once from their peak, and takes both log Z
 (their log-sum-exp) and the log-pmf/pmf/cdf table (the same array,
 normalized) from it. The terms are log-concave, so the mass past the window is at
-most a geometric series in the last term ratio; the window ends where
-that bound is below rel_tol and the table's end rule holds inside it.
+most a geometric series in the last term ratio; a window where that bound
+is above rel_tol, or the table's end rule fails, raises NonConvergenceError.
 The windows come from one kernel, ``_window``, which returns log Z, the
 log-terms and their peak-scaled weights; the table, mgf (at log rate
 t + log m, so e^t m is never formed) and the rate fit each use one window.
@@ -144,11 +144,10 @@ def _positive_real(name: str, x) -> float:
 
 
 def _window(alpha: float, beta: float, log_m: float, ctrl: SeriesControl):
-    """The first window [0, K) of the log-terms whose terms past K sum to at
-    most rel_tol Z by the tail bound. K starts where the peak says the
-    table's end rule holds too, and doubles until the bound holds; K is
-    capped at max_terms, and a window needed past it raises
-    NonConvergenceError naming the terms needed.
+    """The window [0, K) of the log-terms, sized once from their peak so
+    that the table's end rule and the tail bound hold inside it, and capped
+    at max_terms. A window whose terms past K may sum to more than rel_tol Z
+    by the tail bound raises NonConvergenceError naming the terms needed.
 
     Returns (log Z, k, lt, w, sum w): the indices k as floats, the
     log-terms lt at k, and the weights w = exp(lt - peak) whose sum gives
@@ -157,24 +156,20 @@ def _window(alpha: float, beta: float, log_m: float, ctrl: SeriesControl):
     log_tol = math.log(ctrl.rel_tol)
     drop = max(-log_tol, -math.log(_TAIL_ATOL / _LOOKAHEAD)) + _WINDOW_MARGIN
     need = _term_window(alpha, beta, log_m, drop) + _LOOKAHEAD
-    size = math.ceil(min(need, ctrl.max_terms))
-    while True:
-        k = np.arange(size, dtype=float)
-        lt = _log_terms(alpha, beta, log_m, k)
-        peak = float(lt.max())
-        if peak == -math.inf:  # Gamma(beta) overflows, and so does every term
-            raise DomainError("normalizer is not positive and finite")
-        w = np.exp(lt - peak)
-        w_sum = float(w.sum())
-        log_z = peak + math.log(w_sum)
-        if _log_tail(lt) - log_z <= log_tol:
-            return log_z, k, lt, w, w_sum
-        if size == ctrl.max_terms:
-            raise NonConvergenceError(
-                f"the normalizer needs about {math.ceil(max(need, size + 1)):.3g} terms,"
-                f" more than max_terms = {ctrl.max_terms}"
-            )
-        size = min(2 * size, ctrl.max_terms)
+    k = np.arange(math.ceil(min(need, ctrl.max_terms)), dtype=float)
+    lt = _log_terms(alpha, beta, log_m, k)
+    peak = float(lt.max())
+    if peak == -math.inf:  # Gamma(beta) overflows, and so does every term
+        raise DomainError("normalizer is not positive and finite")
+    w = np.exp(lt - peak)
+    w_sum = float(w.sum())
+    log_z = peak + math.log(w_sum)
+    if _log_tail(lt) - log_z > log_tol:
+        raise NonConvergenceError(
+            f"the normalizer needs about {math.ceil(need):.3g} terms,"
+            f" more than max_terms = {ctrl.max_terms}"
+        )
+    return log_z, k, lt, w, w_sum
 
 
 @dataclass(frozen=True)
@@ -355,15 +350,19 @@ class WrightPoisson:
 
     def mgf(self, t: float) -> float:
         """E[e^{tX}] = E_{a,b}(e^t m) / E_{a,b}(m); the numerator is the
-        normalizer at rate e^t m, from the kernel's first window at log rate
-        t + log m. Where e^t m underflows, that window holds pmf(0)'s term alone."""
+        normalizer at rate e^t m, from the kernel's window at log rate
+        t + log m. Where e^t m underflows, that window holds pmf(0)'s term
+        alone; where e^t m or the ratio overflows, t is a DomainError."""
         if not math.isfinite(t):
             raise DomainError("t must be finite")
         log_z = t + math.log(self.m)
         if log_z > _LOG_FLOAT_MAX:
             raise DomainError(f"t = {t!r} is too large: e^t * m overflows")
         log_num = _window(self.alpha, self.beta, log_z, self.ctrl)[0]
-        return exp_saturating(log_num - self.log_normalizer)
+        mgf = exp_saturating(log_num - self.log_normalizer)
+        if mgf == math.inf:
+            raise DomainError(f"t = {t!r} is too large: the mgf overflows")
+        return mgf
 
     def sample(self, n: int, seed: int) -> SampleBatch:
         """n i.i.d. draws by CDF inversion; deterministic given seed."""

@@ -17,6 +17,7 @@ import csv
 import io
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -73,21 +74,34 @@ class CountData:
     @classmethod
     def from_counts(cls, counts) -> "CountData":
         arr = np.asarray(counts)
-        if arr.dtype.kind == "f":
-            # integral floats are accepted, as load_counts accepts "3.0"
+        if arr.ndim != 1:
+            raise ParseError(f"counts must be one-dimensional, got shape {arr.shape}")
+        if arr.size == 0:
+            raise ParseError("need at least one observation")
+        kind = arr.dtype.kind
+        if kind == "f":
+            # integral floats are accepted, as load_counts accepts "3.0"; in
+            # float64, where 2**63 below does not overflow
+            arr = arr.astype(float, copy=False)
             bad = arr[~np.isfinite(arr) | (arr != np.trunc(arr))]
             if bad.size:
                 raise ParseError(f"{float(bad[0])!r} is not an integer count")
-        if arr.dtype.kind in "fuO":
+        elif kind == "O":
+            bad = [
+                x for x in arr.tolist()
+                if not (isinstance(x, numbers.Integral) or isinstance(x, float) and x.is_integer())
+            ]
+            if bad:
+                raise ParseError(f"{bad[0]!r} is not an integer count")
+        elif kind not in "biu":  # complex, text, dates: every element is of the wrong type
+            raise ParseError(f"{arr[0].item()!r} is not an integer count")
+        if kind in "fuO":
             # numpy holds an int past int64 as uint64, float or object, and
             # converting it would wrap or raise a bare OverflowError
-            flat = arr.ravel()
-            big = flat[np.asarray(abs(flat) >= 2**63, dtype=bool)]
+            big = arr[np.asarray(abs(arr) >= 2**63, dtype=bool)]
             if big.size:
                 raise ParseError(f"count {big[0]} does not fit in a 64-bit integer")
         arr = arr.astype(np.int64, copy=False)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ParseError("need at least one observation")
         if arr.min() < 0:
             raise ParseError("counts must be nonnegative")
         if arr.size * int(arr.max()) < 2**63:

@@ -159,6 +159,15 @@ class TestMgf:
         assert code == 2
         assert "t = 800" in err
 
+    def test_overflowing_mgf_exit_2(self, capsys):
+        # e^70 * 1 is finite, but mgf(70) at alpha = 10 is about e^1097
+        code, out, err = run(
+            capsys, "mgf", "--alpha", "10", "--beta", "1", "--m", "1",
+            "--t", "70", "--format", "json",
+        )
+        assert code == 2 and out == ""
+        assert "t = 70.0 is too large" in err
+
     def test_underflowing_e_t_m_is_pmf_0(self, capsys):
         code, out, _ = run(
             capsys, "mgf", "--alpha", "1", "--beta", "1", "--m", "2",
@@ -238,6 +247,11 @@ class TestFit:
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "fit", "/no/such/file")
         assert code == 2
+
+    def test_directory_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "fit", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
@@ -378,6 +392,14 @@ class TestGlobalBehavior:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())
+
+    def test_out_to_a_directory_exit_2(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "pmf", "--alpha", "1", "--beta", "1", "--m", "1",
+            "--r-max", "1", "--out", str(tmp_path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unknown_command_exit_2(self, capsys):
         assert cli.main(["frobnicate"]) == 2

@@ -260,6 +260,13 @@ class TestMgf:
         with pytest.raises(DomainError, match="t = "):
             d.mgf(t)
 
+    def test_overflowing_mgf_names_t(self):
+        # at (10, 1, 1) log mgf(70) is about 1097; mgf(60) from 50-digit mpmath
+        d = new_wright_poisson(10.0, 1.0, 1.0)
+        assert d.mgf(60.0) == pytest.approx(1.6102701230320939e174, rel=1e-12)
+        with pytest.raises(DomainError, match="t = 70.0 is too large"):
+            d.mgf(70.0)
+
     def test_e_t_overflowing_alone_is_summed_in_log_space(self):
         # e^710 overflows, e^710 * 0.01 = e^705.4 does not; 60-digit mpmath
         d = new_wright_poisson(170.0, 1.0, 0.01)
@@ -377,13 +384,15 @@ class TestSampling:
 
 
 class TestLargeRate:
-    """Poisson rates where pmf(0) underflows; m = 4999 also has a log Z
-    whose last-ulp rounding leaves the pmf total short of 1 - 1e-13."""
+    """Poisson rates of 200 and where pmf(0) underflows; m = 4999 also has a
+    log Z whose last-ulp rounding leaves the pmf total short of 1 - 1e-13."""
 
-    @pytest.mark.parametrize("m", [4999, 5000])
+    @pytest.mark.parametrize("m", [200, 4999, 5000])
     def test_cdf_at_the_mean(self, m):
         d = new_wright_poisson(1.0, 1.0, float(m))
-        assert d.cdf(m) == pytest.approx(stats.poisson.cdf(m, m), rel=1e-9)
+        assert d.log_normalizer == pytest.approx(m, rel=1e-14)
+        assert abs(float(np.sum(d.support_pmf())) - 1.0) <= 1e-12
+        assert d.cdf(m) == pytest.approx(stats.poisson.cdf(m, m), rel=1e-12)
 
     @pytest.mark.parametrize("m", [4999, 5000])
     def test_median(self, m):
@@ -484,14 +493,33 @@ class TestNormalizerWindow:
         d = new_wright_poisson(1e308, 1.0, 2.0)
         assert d.log_normalizer == 0.0 and d.support_pmf().tolist() == [1.0]
 
-    def test_short_window_is_widened(self, monkeypatch):
-        # a window that ends before the peak; the kernel doubles it until the
-        # tail bound holds, and that window already holds the table's end rule
-        monkeypatch.setattr(distribution, "_term_window", lambda *args: 4.0)
-        d = new_wright_poisson(1.0, 1.0, 200.0)
-        assert d.log_normalizer == pytest.approx(200.0, rel=1e-14)
-        assert abs(float(np.sum(d.support_pmf())) - 1.0) <= 1e-12
-        assert d.cdf(200) == pytest.approx(stats.poisson.cdf(200, 200.0), rel=1e-12)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=_log_uniform(0.01, 200.0),
+        b=_log_uniform(1e-4, 1e4),
+        m=_log_uniform(1e-12, 1e6),
+        rel_tol=st.sampled_from([1e-18, 1e-15, 1e-3, 0.5, 0.9]),
+    )
+    def test_one_window_per_call(self, a, b, m, rel_tol):
+        # the window is sized once: it meets the tail bound, or it was capped
+        # at max_terms and the kernel raises
+        ctrl = SeriesControl(rel_tol=rel_tol, max_terms=10**6)
+        sizes = []
+        log_terms = distribution._log_terms
+
+        def counting(alpha, beta, log_m, r):
+            sizes.append(r.size)
+            return log_terms(alpha, beta, log_m, r)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(distribution, "_log_terms", counting)
+            try:
+                log_z, _, lt, _, _ = distribution._window(a, b, math.log(m), ctrl)
+            except NonConvergenceError:
+                assert sizes == [ctrl.max_terms]
+                return
+        assert len(sizes) == 1
+        assert distribution._log_tail(lt) - log_z <= math.log(rel_tol)
 
     def test_table_end_outside_its_window_is_typed(self, monkeypatch):
         # the kernel's window reaches as far below the peak as the end rule

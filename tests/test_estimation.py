@@ -119,6 +119,23 @@ class TestCountData:
         with pytest.raises(ParseError, match=message):
             CountData.from_counts(counts)
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [([1 + 2j], "(1+2j) is not an integer count"),
+         ([None, 1], "None is not an integer count"),
+         (["abc"], "'abc' is not an integer count"),
+         (np.ones((2, 2)), "counts must be one-dimensional, got shape (2, 2)")],
+        ids=["complex", "none", "text", "2-d"],
+    )
+    def test_non_counts_name_the_cause(self, counts, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            CountData.from_counts(counts)
+
+    def test_float16_counts_accepted(self):
+        # the int64 range check must not overflow float16's range
+        data = CountData.from_counts(np.array([1, 2], dtype=np.float16))
+        assert data.counts.tolist() == [1, 2] and data.counts.dtype == np.int64
+
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(CountData)] == ["counts", "n", "sum"]
 
