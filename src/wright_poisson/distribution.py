@@ -8,9 +8,12 @@ recovers the classical Poisson law.
 Construction evaluates the log-terms k log m - ln Gamma(alpha k + beta)
 once, over a window [0, K) sized once from their peak, and takes both log Z
 (their log-sum-exp) and the log-pmf/pmf/cdf table (the same array,
-normalized) from it. The terms are log-concave, so the mass past the window is at
-most a geometric series in the last term ratio; a window where that bound
-is above rel_tol, or the table's end rule fails, raises NonConvergenceError.
+normalized) from it. The terms are log-concave, so their ratios fall, and the
+terms past any point sum to at most a geometric series in the last ratio
+before it. One formula states that bound: a window where it puts the mass
+past the window above rel_tol raises NonConvergenceError, and the table ends
+at the first point past the bulk where it puts the mass past it below
+_TAIL_ATOL (or raises if that point is not inside the window).
 The windows come from one kernel, ``_window``, which returns log Z, the
 log-terms and their peak-scaled weights; the table, mgf (at log rate
 t + log m, so e^t m is never formed) and the rate fit each use one window.
@@ -43,6 +46,7 @@ from scipy import special as sc
 
 from .special import (
     DomainError,
+    _as_float,
     exp_saturating,
     NonConvergenceError,
     SeriesControl,
@@ -63,12 +67,14 @@ __all__ = [
     "new_wright_poisson",
 ]
 
-# mass-based truncation of sums over the support
+# the support table holds cumulative mass 1 - _MASS_TOL, and ends where the
+# tail bound puts the mass past it below _TAIL_ATOL
 _MASS_TOL = 1e-13
-_LOOKAHEAD = 16
 _TAIL_ATOL = 1e-15
-# nats a window reaches below what the table's end rule needs, for the
-# 1 / (1 - rho) factor of the tail bound
+# expectation stops once its last _LOOKAHEAD contributions are negligible
+_LOOKAHEAD = 16
+# a kernel window reaches _WINDOW_MARGIN nats below _TAIL_ATOL / _LOOKAHEAD
+# of the peak, and _LOOKAHEAD terms further (see _window)
 _WINDOW_MARGIN = 3.0
 
 
@@ -110,27 +116,37 @@ def _mass_floor(log_z: float) -> float:
     return 1.0 - _MASS_TOL - math.ulp(log_z)
 
 
+def _log_geometric_sum(lt_first, log_rho, xp=math):
+    """log of t / (1 - rho), with t = e^lt_first and rho = e^log_rho < 1: a
+    bound on t plus every term after it when each term is at most rho times
+    the one before. Log-concave terms have falling ratios, so the ratio of
+    any two neighbours at or before t serves as rho. xp is math for floats,
+    numpy for arrays."""
+    return lt_first - xp.log(-xp.expm1(log_rho))
+
+
 def _log_tail(lt: np.ndarray) -> float:
     """log of a bound on the sum of the terms past the window's log-terms
-    lt. The terms are log-concave, so their ratios fall: past the window
-    they sum to at most t[K-1] rho / (1 - rho), rho = t[K-1] / t[K-2] < 1."""
+    lt: the geometric sum from t[K] <= t[K-1] rho, rho = t[K-1] / t[K-2]."""
     if lt[-1] == -math.inf:
         return -math.inf  # Gamma overflowed, here and at every later term
     log_rho = float(lt[-1] - lt[-2]) if lt.size > 1 else 0.0
     if log_rho >= 0.0:
         return math.inf
-    return float(lt[-1]) + log_rho - math.log(-math.expm1(log_rho))
+    return _log_geometric_sum(float(lt[-1]) + log_rho, log_rho)
 
 
-def _table_end(pmf: np.ndarray, cdf: np.ndarray, log_z: float) -> Optional[int]:
+def _table_end(lt: np.ndarray, cdf: np.ndarray, log_z: float) -> Optional[int]:
     """Length R + 1 of the table over 0..R, where R is the first r whose cdf
-    reaches the mass floor while pmf(r+1) + ... + pmf(r+_LOOKAHEAD) is below
-    _TAIL_ATOL; None if no such r has its lookahead inside the arrays."""
+    reaches the mass floor and past which the terms sum to below _TAIL_ATOL Z
+    by the geometric sum from t[r+1], rho = t[r+1] / t[r]; None if no such r
+    has t[r+1] among the window's log-terms lt."""
     start = int(np.searchsorted(cdf, _mass_floor(log_z)))
-    after = pmf[start + 1:]
-    if after.size < _LOOKAHEAD:
-        return None
-    ends = np.flatnonzero(np.convolve(after, np.ones(_LOOKAHEAD), "valid") < _TAIL_ATOL)
+    after = lt[start:]
+    # rho >= 1 bounds nothing: its sum is inf or nan, never below the tolerance
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_tails = _log_geometric_sum(after[1:], np.diff(after), np)
+    ends = np.flatnonzero(log_tails - log_z < math.log(_TAIL_ATOL))
     return start + int(ends[0]) + 1 if ends.size else None
 
 
@@ -138,14 +154,15 @@ def _positive_real(name: str, x) -> float:
     """x as a float; a model parameter must be a finite real number > 0."""
     if not isinstance(x, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {type(x).__name__}")
+    x = _as_float(name, x)
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"{name} must be > 0")
-    return float(x)
+    return x
 
 
 def _window(alpha: float, beta: float, log_m: float, ctrl: SeriesControl):
     """The window [0, K) of the log-terms, sized once from their peak so
-    that the table's end rule and the tail bound hold inside it, and capped
+    that the tail bound and the table's end rule hold inside it, and capped
     at max_terms. A window whose terms past K may sum to more than rel_tol Z
     by the tail bound raises NonConvergenceError naming the terms needed.
 
@@ -154,6 +171,10 @@ def _window(alpha: float, beta: float, log_m: float, ctrl: SeriesControl):
     log Z, so that w / sum w is the law at rate e^log_m.
     """
     log_tol = math.log(ctrl.rel_tol)
+    # deeper and longer than the tail bound and the table's end rule need:
+    # log Z sums every term in the window, so its depth and length fix the
+    # last bits of log Z, and so of the table, mgf and every fit, and a
+    # window cut to the bare need moves log Z by up to a few hundred ulps
     drop = max(-log_tol, -math.log(_TAIL_ATOL / _LOOKAHEAD)) + _WINDOW_MARGIN
     need = _term_window(alpha, beta, log_m, drop) + _LOOKAHEAD
     k = np.arange(math.ceil(min(need, ctrl.max_terms)), dtype=float)
@@ -244,8 +265,9 @@ class WrightPoisson:
     # -- support table ------------------------------------------------
 
     def support_pmf(self) -> np.ndarray:
-        """pmf values 0..R where R is the 1 - _MASS_TOL cutoff (with a
-        16-term lookahead confirming the tail is dead)."""
+        """pmf values 0..R, where R is the table's end: the first r whose cdf
+        reaches 1 - _MASS_TOL (less an ulp of log Z) and past which the tail
+        bound puts less than _TAIL_ATOL of the mass."""
         return self._pmf.copy()
 
     def expectation(self, weight: Callable[[int], float]) -> float:
@@ -353,7 +375,7 @@ class WrightPoisson:
         normalizer at rate e^t m, from the kernel's window at log rate
         t + log m. Where e^t m underflows, that window holds pmf(0)'s term
         alone; where e^t m or the ratio overflows, t is a DomainError."""
-        if not math.isfinite(t):
+        if not math.isfinite(_as_float("t", t)):
             raise DomainError("t must be finite")
         log_z = t + math.log(self.m)
         if log_z > _LOG_FLOAT_MAX:
@@ -387,7 +409,7 @@ def new_wright_poisson(
     log_pmf = lt - log_z
     pmf = np.exp(log_pmf)
     cdf = np.cumsum(pmf)
-    end = _table_end(pmf, cdf, log_z)
+    end = _table_end(lt, cdf, log_z)
     if end is None:
         raise NonConvergenceError(
             f"the support table's end rule does not hold within its window of {lt.size} terms"

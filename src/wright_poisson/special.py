@@ -87,9 +87,18 @@ def _integer_at_least(name: str, x, low: int) -> int:
     return int(x)
 
 
+def _as_float(name: str, x) -> float:
+    """float(x), where an integer too large for a float is a DomainError
+    naming x, not a bare OverflowError."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"{name} is beyond the float range") from None
+
+
 def _finite_z(z) -> float:
     """z as a float; a series argument must be finite."""
-    z = float(z)
+    z = _as_float("z", z)
     if not math.isfinite(z):
         raise DomainError("z must be finite")
     return z
@@ -152,7 +161,7 @@ class SeriesResult:
 
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
-    x = float(x)
+    x = _as_float("x", x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"log_gamma requires finite x > 0, got {x}")
     return float(sc.gammaln(x))

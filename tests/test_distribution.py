@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammaln, logsumexp
@@ -11,7 +11,14 @@ from scipy.special import gammaln, logsumexp
 from wright_poisson import distribution
 from wright_poisson.distribution import new_wright_poisson
 from wright_poisson.estimation import SHAPE_BOX
-from wright_poisson.special import DomainError, NonConvergenceError, SeriesControl
+from wright_poisson.special import (
+    DomainError,
+    NonConvergenceError,
+    SeriesControl,
+    WrightSpec,
+    log_gamma,
+    mittag_leffler2,
+)
 
 GRID_SHAPES = (0.5, 1.0, 1.5, 2.0, 3.0)
 GRID_M = (0.1, 1.0, 5.0)
@@ -543,29 +550,60 @@ class TestNormalizerWindow:
             new_wright_poisson(1.0, 1.0, 30.0, SeriesControl(max_terms=80))
 
     def test_table_end_past_max_terms_is_typed(self):
-        # 96 terms hold Poisson(30)'s normalizer to rel_tol; the table's end
-        # rule needs more
+        # 84 terms hold Poisson(30)'s normalizer to rel_tol, and its table
+        # ends at r = 83, whose tail bound needs the term at 84
         with pytest.raises(
             NonConvergenceError,
-            match=r"end rule does not hold within its window of 96 terms \(max_terms = 96\)",
+            match=r"end rule does not hold within its window of 84 terms \(max_terms = 84\)",
         ):
-            new_wright_poisson(1.0, 1.0, 30.0, SeriesControl(max_terms=96))
+            new_wright_poisson(1.0, 1.0, 30.0, SeriesControl(max_terms=84))
+        table = new_wright_poisson(1.0, 1.0, 30.0, SeriesControl(max_terms=85)).support_pmf()
+        assert table.tolist() == new_wright_poisson(1.0, 1.0, 30.0).support_pmf().tolist()
+        assert table.size == 84
 
     @pytest.mark.parametrize(
         "a,b,m", [(1.0, 1.0, 30.0), (0.793, 1.431, 19.0), (0.5, 0.5, 5.0), (2.0, 1.0, 0.1)]
     )
     def test_table_end_rule(self, a, b, m):
-        # the first r whose cdf reaches the mass floor while the next 16 pmf
-        # values sum below 1e-15, found by a plain loop
+        # the first r whose cdf reaches the mass floor while the geometric
+        # bound t[r+1] / (1 - rho), rho = t[r+1] / t[r] < 1, on the terms past
+        # r is below 1e-15 Z, found by a plain loop
         d = new_wright_poisson(a, b, m)
-        pmf = [d.pmf(r) for r in range(d.support_pmf().size + 64)]
-        floor = 1.0 - 1e-13 - math.ulp(d.log_normalizer)
+        log_z = d.log_normalizer
+        floor = 1.0 - 1e-13 - math.ulp(log_z)
         cdf = 0.0
-        for r, p in enumerate(pmf):
-            cdf += p
-            if cdf >= floor and math.fsum(pmf[r + 1:r + 17]) < 1e-15:
+        for r in range(d.support_pmf().size + 64):
+            cdf += d.pmf(r)
+            lt, lt_next = (k * math.log(m) - float(gammaln(a * k + b)) for k in (r, r + 1))
+            rho = math.exp(lt_next - lt)
+            if cdf >= floor and rho < 1.0 and math.exp(lt_next - log_z) / (1.0 - rho) < 1e-15:
                 break
         assert d.support_pmf().size == r + 1
+
+    def test_poisson_table_inside_a_short_window(self):
+        # the terms past Poisson(4)'s 29-entry table fall geometrically, so
+        # a 40-term window holds its end
+        d = new_wright_poisson(1.0, 1.0, 4.0, SeriesControl(max_terms=40))
+        r = np.arange(d.support_pmf().size)
+        assert r.size == 29
+        assert d.support_pmf() == pytest.approx(stats.poisson.pmf(r, 4.0), rel=1e-12, abs=0)
+        assert [d.cdf(k) for k in r] == pytest.approx(stats.poisson.cdf(r, 4.0), rel=1e-12, abs=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=_log_uniform(*SHAPE_BOX), b=_log_uniform(*SHAPE_BOX), m=_log_uniform(1e-3, 500.0))
+    # a 9290-entry table, whose tail falls slowly past the mass floor
+    @example(a=0.13426544979020233, b=0.12320118550559182, m=2.524783089897609)
+    def test_mass_past_the_table(self, a, b, m):
+        try:
+            d = new_wright_poisson(a, b, m)
+        except NonConvergenceError:  # the terms peak past max_terms
+            assume(False)
+        end = d.support_pmf().size
+        k = np.arange(end, 4 * end + 64)
+        log_past = k * math.log(m) - gammaln(a * k + b) - d.log_normalizer
+        # the brute-force range holds every term that counts
+        assert log_past[-1] < math.log(1e-30)
+        assert math.exp(logsumexp(log_past)) <= distribution._TAIL_ATOL
 
     def test_pmf_matches_table(self):
         d = new_wright_poisson(0.793, 1.431, 19.0)
@@ -587,6 +625,23 @@ class TestArguments:
         want = 4.5 * math.exp(-3.0)
         for r in (2, 2.0, np.int64(2), np.float32(2.0)):
             assert d.pmf(r) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "call,name",
+        [(lambda: new_wright_poisson(1.0, 1.0, 10**400), "m"),
+         (lambda: new_wright_poisson(10**400, 1.0, 1.0), "alpha"),
+         (lambda: new_wright_poisson(1.0, 1.0, 3.0).mgf(10**400), "t"),
+         (lambda: new_wright_poisson(1.0, 1.0, 3.0).mgf(-(10**400)), "t"),
+         (lambda: mittag_leffler2(1.0, 1.0, 10**400), "z"),
+         (lambda: WrightSpec([(1.0, 1.0)], [(1.0, 1.0)], z=10**400), "z"),
+         (lambda: log_gamma(10**400), "x")],
+        ids=["m", "alpha", "mgf", "mgf-negative", "mittag_leffler2", "WrightSpec", "log_gamma"],
+    )
+    def test_argument_past_every_float_is_typed(self, call, name):
+        # no float holds 10**400: a DomainError names the argument, where
+        # converting it would raise a bare OverflowError
+        with pytest.raises(DomainError, match=f"^{name} is beyond the float range"):
+            call()
 
     def test_integer_past_every_float(self):
         # 10**400 cannot be converted to a float, but is a valid count
