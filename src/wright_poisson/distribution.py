@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special as sc
 
 from .special import (
     DomainError,
@@ -57,6 +56,7 @@ from .special import (
     _integer_at_least,
     _term_window,
     mittag_leffler2,
+    sc,
     wright_series,
 )
 
@@ -155,7 +155,9 @@ def _positive_real(name: str, x) -> float:
     if not isinstance(x, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {type(x).__name__}")
     x = _as_float(name, x)
-    if not (math.isfinite(x) and x > 0):
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be > 0 and finite, got {x}")
+    if not x > 0:
         raise DomainError(f"{name} must be > 0")
     return x
 

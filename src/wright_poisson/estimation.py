@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
-from scipy import special as sc
 
 from .distribution import _positive_real, _window
 from .special import (
@@ -33,6 +32,7 @@ from .special import (
     _DEFAULT_CTRL,
     _LOG_FLOAT_MAX,
     mittag_leffler2,
+    sc,
 )
 
 __all__ = [
@@ -266,7 +266,7 @@ def fit_m(
         target = math.log(data.mean)
         # start at the mean, which lies about 1/(2 alpha) past the peak of
         # the terms m^r / Gamma(alpha r + beta)
-        theta = alpha * float(sc.digamma(max(alpha * data.mean - 0.5, 0.0) + beta))
+        theta = alpha * float(sc.psi(max(alpha * data.mean - 0.5, 0.0) + beta))
         if data.mean < 1.0:
             # or no lower than where the first two terms give the mean,
             # E[X] ~ t1 / t0, if the third is below half the second there
@@ -336,7 +336,9 @@ def fit_full(data: CountData, ctrl: SeriesControl = _DEFAULT_CTRL) -> FitResult:
     dl/dalpha = n E[X psi(aX+b)] - sum_i r_i psi(a r_i+b) and dl/dbeta =
     n E[psi(aX+b)] - sum_i psi(a r_i+b). Returns the best point evaluated,
     ``converged`` if its projected gradient is within _GRAD_TOL."""
-    from scipy import optimize  # imported here: it adds 0.3 s to every cli start
+    # imported here, not at module level: with the scipy.special package it
+    # pulls in, it would add about 0.4 s to every cli start
+    from scipy import optimize
 
     if np.all(data.counts == data.counts[0]):
         raise DegenerateDataError("all counts equal: shape parameters unidentified")
@@ -352,8 +354,8 @@ def fit_full(data: CountData, ctrl: SeriesControl = _DEFAULT_CTRL) -> FitResult:
         res = fit_m(data, alpha, beta, ctrl)
         total_iters += res.iterations
         _, r, _, w, w_sum = _window(alpha, beta, math.log(res.m), ctrl)
-        psi = sc.digamma(alpha * r + beta)
-        psi_obs = wts * sc.digamma(alpha * uniq + beta)
+        psi = sc.psi(alpha * r + beta)
+        psi_obs = wts * sc.psi(alpha * uniq + beta)
         observed = np.array([alpha * uniq @ psi_obs, beta * psi_obs.sum()])
         # E[.] under the law w / sum w at m-hat
         grad = data.n / w_sum * np.array([alpha * (r * psi) @ w, beta * psi @ w]) - observed

@@ -15,15 +15,48 @@ distribution's normalizer is one such window.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special as sc
+import scipy
+
+
+def _load_ufuncs():
+    """The compiled module that holds the gamma ufuncs this package calls
+    (gammaln, psi, gammasgn, xlogy), loaded without scipy.special's package
+    import, most of which is its array-API layer. The module goes into
+    sys.modules under its own name, so a later ``from scipy import special``
+    reuses it and hands out the same ufunc objects. Should this fail in any
+    way (scipy moved the file, say), the entry is removed again and
+    scipy.special itself is returned."""
+    name = "scipy.special._special_ufuncs"
+    if name in sys.modules:
+        return sys.modules[name]
+    try:
+        stem = os.path.join(scipy.__path__[0], "special", "_special_ufuncs")
+        path = next(stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                    if os.path.isfile(stem + suffix))
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        return module
+    except Exception:
+        sys.modules.pop(name, None)
+        from scipy import special
+
+        return special
+
+
+sc = _load_ufuncs()
 
 __all__ = [
     "DomainError",
@@ -120,8 +153,8 @@ class WrightSpec:
     z: float
 
     def __init__(self, upper, lower, z):
-        upper = tuple((float(a), float(al)) for a, al in upper)
-        lower = tuple((float(b), float(be)) for b, be in lower)
+        upper = tuple((_as_float("upper a", a), _as_float("upper alpha", al)) for a, al in upper)
+        lower = tuple((_as_float("lower b", b), _as_float("lower beta", be)) for b, be in lower)
         for _, w in upper + lower:
             if not math.isfinite(w):
                 raise DomainError("gamma-argument weights must be finite")
@@ -322,6 +355,7 @@ def mittag_leffler2(
 
     beta may be any finite real; pole terms vanish.
     """
+    alpha, beta = _as_float("alpha", alpha), _as_float("beta", beta)
     if not (alpha > 0.0):
         raise DomainError("mittag_leffler2 requires alpha > 0")
     if not math.isfinite(beta):
@@ -339,6 +373,8 @@ def mittag_leffler3(
 ) -> SeriesResult:
     """Three-parameter (Prabhakar) Mittag-Leffler:
     sum (gamma)_k z^k / (Gamma(alpha k + beta) k!)."""
+    alpha, beta = _as_float("alpha", alpha), _as_float("beta", beta)
+    gamma = _as_float("gamma", gamma)
     if not (alpha > 0.0):
         raise DomainError("mittag_leffler3 requires alpha > 0")
     if not (math.isfinite(beta) and math.isfinite(gamma)):

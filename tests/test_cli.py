@@ -1,4 +1,7 @@
+import ast
 import dataclasses
+import glob
+import importlib
 import json
 import math
 import os
@@ -7,8 +10,9 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import special as scipy_special
 
-from wright_poisson import cli
+from wright_poisson import cli, special
 from wright_poisson.distribution import MomentReport, new_wright_poisson
 from wright_poisson.estimation import CountData, fit_m
 
@@ -17,6 +21,57 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _fresh(code):
+    """stdout of a fresh interpreter that runs code with the library on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return proc.stdout.strip()
+
+
+def _library_ufunc_names():
+    """Every name the library's modules read off ``sc``, its gamma ufuncs."""
+    names = set()
+    for path in glob.glob(os.path.join(os.path.dirname(cli.__file__), "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        names |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "sc"}
+    return names
+
+
+_UFUNC_NAMES = _library_ufunc_names()
+
+# one print per answer: tables, queries, moments, mgf, the series, both
+# fits and a typed error, each by repr
+_SWEEP = """
+from wright_poisson import *
+def show(f):
+    try:
+        print(repr(f()))
+    except Exception as e:
+        print(type(e).__name__, e)
+for a, b, m in [(1.0, 1.0, 4.0), (0.5, 2.0, 30.0), (3.0, 0.3, 150.0), (0.3, 0.2, 2.5)]:
+    d = new_wright_poisson(a, b, m)
+    show(lambda: (d.log_normalizer, d.support_pmf().tolist()))
+    show(lambda: [(d.log_pmf(r), d.cdf(r)) for r in (0, 3, 10**4)])
+    show(lambda: [d.quantile(p) for p in (0.1, 0.5, 0.999)])
+    show(lambda: [d.mgf(t) for t in (-1.0, 0.5)])
+    show(d.moment_report)
+    show(lambda: d.sample(50, seed=7).values.tolist())
+show(lambda: mittag_leffler2(0.7, 1.3, -5.0))
+show(lambda: mittag_leffler3(0.5, 1.0, 2.0, 3.0))
+show(lambda: wright_series(WrightSpec([(1.0, 1.0)], [(0.5, 0.5)], -2.0)))
+data = CountData.from_counts(new_wright_poisson(1.0, 1.0, 4.0).sample(2000, seed=1).values)
+show(lambda: fit_m(data, 0.9, 1.1))
+show(lambda: fit_full(data))
+show(lambda: new_wright_poisson(0.1, 0.1, 10.0))
+"""
 
 
 class TestPmf:
@@ -40,6 +95,15 @@ class TestPmf:
         )
         assert code == 2
         assert "m must be > 0" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_alpha_exit_2(self, capsys, value):
+        code, out, err = run(
+            capsys, "pmf", "--alpha", value, "--beta", "1", "--m", "1", "--r-max", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"alpha must be > 0 and finite, got {value}" in err
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_negative_r_max_exit_2(self, capsys, fmt):
@@ -415,11 +479,69 @@ class TestGlobalBehavior:
         assert "min_terms" not in err
 
     def test_import_leaves_out_scipy_optimize(self):
-        # only fit_full needs it, and importing it adds about 0.3 s to every start
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        # only fit_full needs it, and importing it adds about 0.4 s to every start
         code = "import sys, wright_poisson.cli; print('scipy.optimize' in sys.modules)"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
+        assert _fresh(code) == "False"
+
+    def test_import_leaves_out_the_scipy_special_package(self):
+        # the gamma ufuncs come from scipy's compiled module; the package
+        # import (its array-API layer) costs most of a cli start
+        out = _fresh("import sys, wright_poisson.cli\n"
+                     "print(sorted(k for k in sys.modules if k.startswith('scipy.special')))")
+        assert out == "['scipy.special._special_ufuncs']"
+
+    def test_later_scipy_special_hands_out_the_same_ufuncs(self):
+        code = (
+            "import sys\n"
+            "from wright_poisson import special as ws, fit_full, CountData\n"
+            "from scipy import special\n"
+            f"names = {sorted(_UFUNC_NAMES)!r}\n"
+            "assert all(getattr(ws.sc, n) is getattr(special, n) for n in names)\n"
+            "assert ws.sc is sys.modules['scipy.special._special_ufuncs']\n"
+            "fit = fit_full(CountData.from_counts([0, 1, 1, 2, 2, 2, 3, 3, 4, 5, 7]))\n"
+            "print(fit.converged)"
         )
-        assert proc.stdout.strip() == "False"
+        assert _fresh(code) == "True"
+
+    def test_forced_fallback_gives_the_same_answers(self):
+        # with no extension suffix the loader finds no file to load, and
+        # takes scipy.special through its package import instead
+        force = "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES = []\n"
+        took = ("import sys\nfrom wright_poisson import special as ws\n"
+                "print(ws.sc is sys.modules.get('scipy.special'))\n")
+        fast = _fresh(took + _SWEEP).splitlines()
+        slow = _fresh(force + took + _SWEEP).splitlines()
+        assert (fast[0], slow[0]) == ("False", "True")
+        assert slow[1:] == fast[1:]
+
+    def test_every_ufunc_the_library_calls_is_in_the_compiled_module(self):
+        # the compiled module lacks scipy.special's aliases (digamma is psi
+        # there), so a name only the package has fails here, not at run time
+        ufuncs = importlib.import_module("scipy.special._special_ufuncs")
+        assert special.sc is ufuncs
+        assert {"gammaln", "psi", "gammasgn", "xlogy"} <= _UFUNC_NAMES
+        for name in sorted(_UFUNC_NAMES):
+            assert hasattr(ufuncs, name), name
+            assert getattr(ufuncs, name) is getattr(scipy_special, name), name
+
+    def test_failed_load_leaves_no_half_made_module(self):
+        # the compiled module fails once, after it is registered: the loader
+        # removes its entry, and scipy.special's own import loads it again
+        code = (
+            "import sys\n"
+            "from importlib.machinery import ExtensionFileLoader\n"
+            "name = 'scipy.special._special_ufuncs'\n"
+            "exec_module, half_made = ExtensionFileLoader.exec_module, []\n"
+            "def fail_once(self, module):\n"
+            "    if module.__name__ == name and not half_made:\n"
+            "        half_made.append(module)\n"
+            "        raise ImportError('forced')\n"
+            "    return exec_module(self, module)\n"
+            "ExtensionFileLoader.exec_module = fail_once\n"
+            "from wright_poisson import special as ws\n"
+            "from scipy import special\n"
+            "print(len(half_made), ws.sc is special,\n"
+            "      sys.modules[name] is not half_made[0],\n"
+            "      sys.modules[name].gammaln is special.gammaln)"
+        )
+        assert _fresh(code) == "1 True True True"

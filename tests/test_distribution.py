@@ -643,6 +643,13 @@ class TestArguments:
         with pytest.raises(DomainError, match=f"^{name} is beyond the float range"):
             call()
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "m"])
+    def test_non_finite_parameter_names_its_value(self, name, value):
+        args = {"alpha": 1.0, "beta": 1.0, "m": 3.0, name: value}
+        with pytest.raises(DomainError, match=f"^{name} must be > 0 and finite, got {value}$"):
+            new_wright_poisson(**args)
+
     def test_integer_past_every_float(self):
         # 10**400 cannot be converted to a float, but is a valid count
         d = new_wright_poisson(1.0, 1.0, 3.0)

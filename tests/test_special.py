@@ -282,6 +282,23 @@ class TestNonFiniteArgument:
         with pytest.raises(DomainError, match="z must be finite"):
             WrightSpec([(1.0, 1.0)], [(1.0, 1.0)], z)
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [(lambda: mittag_leffler2(1, 10**400, 1), "beta"),
+         (lambda: mittag_leffler2(10**400, 1, 1), "alpha"),
+         (lambda: mittag_leffler3(1, 1, 10**400, 1), "gamma"),
+         (lambda: mittag_leffler(10**400, 1), "alpha"),
+         (lambda: WrightSpec([(10**400, 1)], [(1, 1)], 1), "upper a"),
+         (lambda: WrightSpec([(1, 10**400)], [(1, 1)], 1), "upper alpha"),
+         (lambda: WrightSpec([(1, 1)], [(1, 10**400)], 1), "lower beta")],
+        ids=["ml2-beta", "ml2-alpha", "ml3-gamma", "ml-alpha", "spec-a", "spec-alpha",
+             "spec-beta"],
+    )
+    def test_integer_past_every_float_is_typed(self, call, name):
+        # float(10**400) raises OverflowError; the DomainError names the argument
+        with pytest.raises(DomainError, match=f"^{name} is beyond the float range$"):
+            call()
+
 
 class TestSizedFirstBlock:
     """_term_window sizes the normalizer's windows from the terms' peak; the
