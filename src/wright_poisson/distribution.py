@@ -27,7 +27,8 @@ which underflows for large m.
 Moments come in three flavors each: a brute-force series over the table's
 pmf, and two closed forms (Wright-series differences, and shifted
 Mittag-Leffler combinations) whose numerators are series of their own,
-each divided by Z (log_normalizer) in log space. The closed-form "second moment" routines
+each summed at most once per distribution and divided by Z
+(log_normalizer) in log space. The closed-form "second moment" routines
 return the raw E[X^2]; variance is derived as E[X^2] - mean^2.
 """
 
@@ -35,10 +36,10 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,6 +47,8 @@ import numpy as np
 from .special import (
     DomainError,
     _as_float,
+    _finite,
+    _positive_real,
     exp_saturating,
     NonConvergenceError,
     SeriesControl,
@@ -150,18 +153,6 @@ def _table_end(lt: np.ndarray, cdf: np.ndarray, log_z: float) -> Optional[int]:
     return start + int(ends[0]) + 1 if ends.size else None
 
 
-def _positive_real(name: str, x) -> float:
-    """x as a float; a model parameter must be a finite real number > 0."""
-    if not isinstance(x, numbers.Real):
-        raise DomainError(f"{name} must be a real number, got {type(x).__name__}")
-    x = _as_float(name, x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be > 0 and finite, got {x}")
-    if not x > 0:
-        raise DomainError(f"{name} must be > 0")
-    return x
-
-
 def _window(alpha: float, beta: float, log_m: float, ctrl: SeriesControl):
     """The window [0, K) of the log-terms, sized once from their peak so
     that the tail bound and the table's end rule hold inside it, and capped
@@ -218,9 +209,13 @@ class WrightPoisson:
 
     def log_pmf(self, r: int) -> float:
         """Read from the table; past it, evaluated from the log-terms."""
-        # nan fails the sign test; inf % 1 is nan
-        if not (r >= 0 and r % 1 == 0):
-            raise DomainError(f"r must be a nonnegative integer, got {r!r}")
+        try:
+            # nan fails the sign test; inf % 1 is nan; a str, None or
+            # complex r fails the comparison itself
+            if not (r >= 0 and r % 1 == 0):
+                raise TypeError
+        except TypeError:
+            raise DomainError(f"r must be a nonnegative integer, got {r!r}") from None
         r = int(r)
         if r < len(self._log_pmf_list):
             return self._log_pmf_list[r]
@@ -242,6 +237,7 @@ class WrightPoisson:
         chained steps telescope against the direct evaluation.
         """
         a, b = self.alpha, self.beta
+        r, pmf_r = _as_float("r", r), _as_float("pmf_r", pmf_r)
         # difference first: the two lgamma values are large and close,
         # and their rounding errors telescope across chained steps
         dlg = float(sc.gammaln(a * r + b)) - float(sc.gammaln(a * (r + 1) + b))
@@ -249,15 +245,23 @@ class WrightPoisson:
 
     def cdf(self, r: int) -> float:
         """P(X <= r); past the end of the support table, its total mass."""
-        # nan fails the sign test; an int too large for a float is finite
-        if not (r >= 0 and r != math.inf):
-            raise DomainError(f"r must be finite and nonnegative, got {r!r}")
+        try:
+            # nan fails the sign test; an int too large for a float is
+            # finite; a str, None or complex r fails the comparison itself
+            if not (r >= 0 and r != math.inf):
+                raise TypeError
+        except TypeError:
+            raise DomainError(f"r must be finite and nonnegative, got {r!r}") from None
         cdf = self._cdf_list
         return cdf[min(int(r), len(cdf) - 1)]
 
     def quantile(self, p: float) -> int:
-        if not (0.0 <= p < 1.0):
-            raise DomainError("quantile requires p in [0, 1)")
+        try:
+            # a str, None or complex p fails the comparison itself
+            if not (0.0 <= p < 1.0):
+                raise TypeError
+        except TypeError:
+            raise DomainError("quantile requires p in [0, 1)") from None
         cdf = self._cdf_list
         r = bisect.bisect_left(cdf, p)
         if r == len(cdf):
@@ -311,38 +315,57 @@ class WrightPoisson:
     def second_moment_series(self) -> float:
         return self.expectation(lambda r: float(r) * r)
 
-    def mean_closed_i(self) -> float:
-        """Wright-series difference: (Psi[(2,1)] - Psi[(1,1)]) / Psi[(1,1)]."""
+    # each closed-form numerator is summed at most once per distribution
+    # and kept as its ratio to Z
+
+    @cached_property
+    def _psi21(self) -> float:
+        """Psi[(2,1)] / Z."""
         num = wright_series(
             WrightSpec([(2.0, 1.0)], [(self.beta, self.alpha)], self.m), self.ctrl
         )
-        return _ratio(num, self.log_normalizer) - 1.0
+        return _ratio(num, self.log_normalizer)
+
+    @cached_property
+    def _psi22(self) -> float:
+        """2Psi2[(1,1), (1,1); (-1,1), (b,a)] / Z, whose k = 0, 1 terms
+        vanish at gamma poles by construction."""
+        num = wright_series(
+            WrightSpec([(1.0, 1.0), (1.0, 1.0)], [(-1.0, 1.0), (self.beta, self.alpha)], self.m),
+            self.ctrl,
+        )
+        return _ratio(num, self.log_normalizer)
+
+    @cached_property
+    def _ml_beta_1(self) -> float:
+        """E_{a,b-1}(m) / Z."""
+        num = mittag_leffler2(self.alpha, self.beta - 1.0, self.m, self.ctrl)
+        return _ratio(num, self.log_normalizer)
+
+    @cached_property
+    def _ml_beta_2(self) -> float:
+        """E_{a,b-2}(m) / Z."""
+        num = mittag_leffler2(self.alpha, self.beta - 2.0, self.m, self.ctrl)
+        return _ratio(num, self.log_normalizer)
+
+    def mean_closed_i(self) -> float:
+        """Wright-series difference: (Psi[(2,1)] - Psi[(1,1)]) / Psi[(1,1)]."""
+        return self._psi21 - 1.0
 
     def mean_closed_ii(self) -> float:
         """Shifted Mittag-Leffler form:
         (E_{a,b-1}(m) + (1-b) E_{a,b}(m)) / (a E_{a,b}(m))."""
-        s1 = mittag_leffler2(self.alpha, self.beta - 1.0, self.m, self.ctrl)
-        return (_ratio(s1, self.log_normalizer) + (1.0 - self.beta)) / self.alpha
+        return (self._ml_beta_1 + (1.0 - self.beta)) / self.alpha
 
     def second_moment_closed_i(self) -> float:
-        """E[X^2] = E[X(X-1)] + E[X]: the 2Psi2 over Z, whose k = 0, 1
-        terms vanish at gamma poles by construction, plus mean_closed_i."""
-        psi22 = wright_series(
-            WrightSpec([(1.0, 1.0), (1.0, 1.0)], [(-1.0, 1.0), (self.beta, self.alpha)], self.m),
-            self.ctrl,
-        )
-        return _ratio(psi22, self.log_normalizer) + self.mean_closed_i()
+        """E[X^2] = E[X(X-1)] + E[X]: the 2Psi2 over Z plus mean_closed_i."""
+        return self._psi22 + self.mean_closed_i()
 
     def second_moment_closed_ii(self) -> float:
         """E[X^2] from shifted Mittag-Leffler terms:
         (E_{a,b-2} + (3-2b) E_{a,b-1} + (1-b)^2 E_{a,b}) / (a^2 E_{a,b})."""
-        a, b, m = self.alpha, self.beta, self.m
-        log_z = self.log_normalizer
-        s2 = mittag_leffler2(a, b - 2.0, m, self.ctrl)
-        s1 = mittag_leffler2(a, b - 1.0, m, self.ctrl)
-        return (
-            _ratio(s2, log_z) + (3.0 - 2.0 * b) * _ratio(s1, log_z) + (1.0 - b) ** 2
-        ) / (a * a)
+        a, b = self.alpha, self.beta
+        return (self._ml_beta_2 + (3.0 - 2.0 * b) * self._ml_beta_1 + (1.0 - b) ** 2) / (a * a)
 
     def moment_report(self) -> MomentReport:
         mean_s = self.mean_series()
@@ -377,9 +400,7 @@ class WrightPoisson:
         normalizer at rate e^t m, from the kernel's window at log rate
         t + log m. Where e^t m underflows, that window holds pmf(0)'s term
         alone; where e^t m or the ratio overflows, t is a DomainError."""
-        if not math.isfinite(_as_float("t", t)):
-            raise DomainError("t must be finite")
-        log_z = t + math.log(self.m)
+        log_z = _finite("t", t) + math.log(self.m)
         if log_z > _LOG_FLOAT_MAX:
             raise DomainError(f"t = {t!r} is too large: e^t * m overflows")
         log_num = _window(self.alpha, self.beta, log_z, self.ctrl)[0]

@@ -24,13 +24,14 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .distribution import _positive_real, _window
+from .distribution import _window
 from .special import (
     DomainError,
     NonConvergenceError,
     SeriesControl,
     _DEFAULT_CTRL,
     _LOG_FLOAT_MAX,
+    _positive_real,
     mittag_leffler2,
     sc,
 )
@@ -131,6 +132,13 @@ class FitResult:
     profile: str  # "m_only" or "full"
 
 
+def _count_data(data) -> CountData:
+    """data, which the fits and the log-likelihood take only as CountData."""
+    if not isinstance(data, CountData):
+        raise DomainError(f"data must be a CountData, got {type(data).__name__}")
+    return data
+
+
 def _parse_int(token: str, lineno: int) -> int:
     token = token.strip()
     try:
@@ -223,6 +231,7 @@ def log_likelihood(
 ) -> float:
     """sum_i log pmf(r_i), via sufficient statistics and the unique
     observed counts."""
+    data = _count_data(data)
     alpha = _positive_real("alpha", alpha)
     beta = _positive_real("beta", beta)
     m = _positive_real("m", m)
@@ -255,7 +264,7 @@ def fit_m(
     less n log Z, or, if the largest count lies past that window, the sum
     over the distinct counts. ``iterations`` counts the steps.
     """
-    if data.n < 1:
+    if _count_data(data).n < 1:
         raise DomainError("need at least one observation")
     alpha = _positive_real("alpha", alpha)
     beta = _positive_real("beta", beta)
@@ -336,14 +345,13 @@ def fit_full(data: CountData, ctrl: SeriesControl = _DEFAULT_CTRL) -> FitResult:
     dl/dalpha = n E[X psi(aX+b)] - sum_i r_i psi(a r_i+b) and dl/dbeta =
     n E[psi(aX+b)] - sum_i psi(a r_i+b). Returns the best point evaluated,
     ``converged`` if its projected gradient is within _GRAD_TOL."""
+    uniq, wts = _count_data(data).histogram
+    if uniq.size == 1:
+        raise DegenerateDataError("all counts equal: shape parameters unidentified")
     # imported here, not at module level: with the scipy.special package it
     # pulls in, it would add about 0.4 s to every cli start
     from scipy import optimize
 
-    if np.all(data.counts == data.counts[0]):
-        raise DegenerateDataError("all counts equal: shape parameters unidentified")
-
-    uniq, wts = data.histogram
     lo, hi = math.log(SHAPE_BOX[0]), math.log(SHAPE_BOX[1])
     best = None  # (key, FitResult, x, gradient of ll in x, its observed part)
     total_iters = 0

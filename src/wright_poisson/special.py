@@ -11,6 +11,17 @@ The Mittag-Leffler terms z^k / Gamma(alpha k + beta) with z > 0 and
 beta > 0 are log-concave in k, since ln Gamma is convex on (0, inf).
 ``_term_window`` sizes a window over them from the peak; the
 distribution's normalizer is one such window.
+
+One argument rule serves the whole package, and this module owns it: a
+real argument must be a ``numbers.Real`` (int, float, Fraction, a numpy
+scalar), or a DomainError names it. A str, None, complex, Decimal or 0-d
+array is not one, although float() would take some of them. ``_as_float``
+states the rule, ``_finite`` adds finiteness and ``_positive_real`` the
+model parameters' x > 0; the distribution and the fits import them.
+
+The gamma ufuncs come from scipy's compiled ``_special_ufuncs`` module,
+loaded by file without importing the ``scipy`` package, with
+``scipy.special`` as the fallback (see ``_load_ufuncs``).
 """
 
 from __future__ import annotations
@@ -26,22 +37,23 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy
 
 
 def _load_ufuncs():
     """The compiled module that holds the gamma ufuncs this package calls
-    (gammaln, psi, gammasgn, xlogy), loaded without scipy.special's package
-    import, most of which is its array-API layer. The module goes into
-    sys.modules under its own name, so a later ``from scipy import special``
-    reuses it and hands out the same ufunc objects. Should this fail in any
-    way (scipy moved the file, say), the entry is removed again and
-    scipy.special itself is returned."""
+    (gammaln, psi, gammasgn, xlogy), loaded by its path without importing
+    scipy.special, most of which is its array-API layer, or even the scipy
+    package. The module goes into sys.modules under its own name, so a
+    later ``from scipy import special`` reuses it and hands out the same
+    ufunc objects. Should this fail in any way (scipy moved the file, say),
+    the entry is removed again and scipy.special itself is returned."""
     name = "scipy.special._special_ufuncs"
     if name in sys.modules:
         return sys.modules[name]
     try:
-        stem = os.path.join(scipy.__path__[0], "special", "_special_ufuncs")
+        # find_spec locates a top-level package without importing it
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        stem = os.path.join(root, "special", "_special_ufuncs")
         path = next(stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
                     if os.path.isfile(stem + suffix))
         spec = importlib.util.spec_from_file_location(name, path)
@@ -120,21 +132,38 @@ def _integer_at_least(name: str, x, low: int) -> int:
     return int(x)
 
 
+# float and int match by exact type, 20 times faster than the ABC alone
+_REAL = (float, int, numbers.Real)
+
+
 def _as_float(name: str, x) -> float:
-    """float(x), where an integer too large for a float is a DomainError
-    naming x, not a bare OverflowError."""
+    """x as a float. A real argument must be a numbers.Real; anything else,
+    and an integer too large for a float, is a DomainError naming x, not a
+    bare TypeError or OverflowError."""
+    if not isinstance(x, _REAL):
+        raise DomainError(f"{name} must be a real number, got {type(x).__name__}")
     try:
         return float(x)
     except OverflowError:
         raise DomainError(f"{name} is beyond the float range") from None
 
 
-def _finite_z(z) -> float:
-    """z as a float; a series argument must be finite."""
-    z = _as_float("z", z)
-    if not math.isfinite(z):
-        raise DomainError("z must be finite")
-    return z
+def _finite(name: str, x) -> float:
+    """x as a float; a series argument or a gamma weight must be finite."""
+    x = _as_float(name, x)
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite")
+    return x
+
+
+def _positive_real(name: str, x) -> float:
+    """x as a float; a model parameter must be a finite real number > 0."""
+    x = _as_float(name, x)
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be > 0 and finite, got {x}")
+    if not x > 0:
+        raise DomainError(f"{name} must be > 0")
+    return x
 
 
 def _is_gamma_pole(x):
@@ -153,14 +182,11 @@ class WrightSpec:
     z: float
 
     def __init__(self, upper, lower, z):
-        upper = tuple((_as_float("upper a", a), _as_float("upper alpha", al)) for a, al in upper)
-        lower = tuple((_as_float("lower b", b), _as_float("lower beta", be)) for b, be in lower)
-        for _, w in upper + lower:
-            if not math.isfinite(w):
-                raise DomainError("gamma-argument weights must be finite")
+        upper = tuple((_as_float("upper a", a), _finite("upper alpha", al)) for a, al in upper)
+        lower = tuple((_as_float("lower b", b), _finite("lower beta", be)) for b, be in lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "z", _finite_z(z))
+        object.__setattr__(self, "z", _finite("z", z))
 
 
 @dataclass(frozen=True)
@@ -171,7 +197,7 @@ class SeriesControl:
     max_terms: int = 10000
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
+        if not (0.0 < _as_float("rel_tol", self.rel_tol) < 1.0):
             raise DomainError("rel_tol must be in (0, 1)")
         _integer_at_least("max_terms", self.max_terms, _MIN_TERMS)
 
@@ -249,7 +275,7 @@ def _wright_log_terms(spec: WrightSpec, k: np.ndarray):
 def wright_term(spec: WrightSpec, k: int) -> float:
     """Single series term; exactly 0.0 when a lower gamma pole kills it.
     Raises DomainError on an upper-gamma pole."""
-    logmag, sign = _wright_log_terms(spec, np.array([k]))
+    logmag, sign = _wright_log_terms(spec, np.array([_as_float("k", k)]))
     if np.isnan(sign[0]):
         raise DomainError(f"upper gamma argument hits a pole at term k={k}")
     return 0.0 if logmag[0] == -np.inf else float(sign[0] * np.exp(logmag[0]))
@@ -343,7 +369,7 @@ def mittag_leffler(
     alpha: float, z: float, ctrl: SeriesControl = _DEFAULT_CTRL
 ) -> SeriesResult:
     """One-parameter Mittag-Leffler: sum z^k / Gamma(1 + alpha k)."""
-    if not (alpha > 0.0):
+    if not (_as_float("alpha", alpha) > 0.0):
         raise DomainError("mittag_leffler requires alpha > 0")
     return mittag_leffler2(alpha, 1.0, z, ctrl)
 
@@ -355,12 +381,10 @@ def mittag_leffler2(
 
     beta may be any finite real; pole terms vanish.
     """
-    alpha, beta = _as_float("alpha", alpha), _as_float("beta", beta)
+    alpha = _as_float("alpha", alpha)
     if not (alpha > 0.0):
         raise DomainError("mittag_leffler2 requires alpha > 0")
-    if not math.isfinite(beta):
-        raise DomainError("beta must be finite")
-    z = _finite_z(z)
+    beta, z = _finite("beta", beta), _finite("z", z)
     return _sum_terms(lambda k: _lower_gamma(*_power(z, k), alpha * k + beta), ctrl)
 
 
@@ -373,13 +397,10 @@ def mittag_leffler3(
 ) -> SeriesResult:
     """Three-parameter (Prabhakar) Mittag-Leffler:
     sum (gamma)_k z^k / (Gamma(alpha k + beta) k!)."""
-    alpha, beta = _as_float("alpha", alpha), _as_float("beta", beta)
-    gamma = _as_float("gamma", gamma)
+    alpha = _as_float("alpha", alpha)
     if not (alpha > 0.0):
         raise DomainError("mittag_leffler3 requires alpha > 0")
-    if not (math.isfinite(beta) and math.isfinite(gamma)):
-        raise DomainError("beta and gamma must be finite")
-    z = _finite_z(z)
+    beta, gamma, z = _finite("beta", beta), _finite("gamma", gamma), _finite("z", z)
 
     def terms(k):
         # log|(gamma)_k / k!| and its sign as a product of the ratios

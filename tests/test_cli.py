@@ -483,6 +483,11 @@ class TestGlobalBehavior:
         code = "import sys, wright_poisson.cli; print('scipy.optimize' in sys.modules)"
         assert _fresh(code) == "False"
 
+    def test_import_leaves_out_the_scipy_package(self):
+        # the compiled module is found by its path, without importing scipy
+        code = "import sys, wright_poisson.cli; print('scipy' in sys.modules)"
+        assert _fresh(code) == "False"
+
     def test_import_leaves_out_the_scipy_special_package(self):
         # the gamma ufuncs come from scipy's compiled module; the package
         # import (its array-API layer) costs most of a cli start

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -206,6 +207,27 @@ class TestMoments:
         # the shifted forms subtract about beta - 1 from s1 / Z, losing digits
         assert rep.mean_closed_ii == pytest.approx(rep.mean_series, rel=1e-7)
         assert rep.m2_closed_ii == pytest.approx(rep.m2_series, rel=1e-5)
+
+    def test_each_numerator_is_summed_at_most_once(self, monkeypatch):
+        # Psi21, 2Psi2, E_{a,b-1} and E_{a,b-2}: four series per distribution,
+        # whatever the order of the calls, and the same answers in every order
+        calls = []
+        for name in ("wright_series", "mittag_leffler2"):
+            series = getattr(distribution, name)
+            monkeypatch.setattr(
+                distribution, name, lambda *a, _f=series, **k: calls.append(1) or _f(*a, **k)
+            )
+        methods = ["mean_closed_i", "mean_closed_ii", "second_moment_closed_i",
+                   "second_moment_closed_ii", "moment_report"]
+        answers = None
+        for order in itertools.permutations(methods):
+            d = new_wright_poisson(0.8, 1.2, 30.0)
+            calls.clear()
+            got = {name: getattr(d, name)() for name in order + order}
+            assert len(calls) <= 4, order
+            if answers is None:
+                answers = got
+            assert got == answers, order
 
 
 class TestMgf:
