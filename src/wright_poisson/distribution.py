@@ -18,11 +18,16 @@ The windows come from one kernel, ``_window``, which returns log Z, the
 log-terms and their peak-scaled weights; the table, mgf (at log rate
 t + log m, so e^t m is never formed) and the rate fit each use one window.
 log_pmf, pmf, cdf and quantile read the log-pmf and the cdf as lists of
-Python floats, which they index or bisect without numpy's per-call cost;
-sample searches the cdf array and support_pmf copies the pmf array. Only
-log_pmf, pmf and expectation past the table evaluate the log-terms. Every pmf
-value is the exponential of its own log-pmf, so none depends on pmf(0),
-which underflows for large m.
+Python floats, which they index or bisect without numpy's per-call cost,
+checking an int r or a float p by its exact type first; support_pmf copies
+the pmf array. sample inverts the cdf through a guide table, built on its
+first call, whose buckets give each draw's index by one lookup and one
+comparison; only draws in buckets of two or more cdf points are searched.
+Only log_pmf, pmf and expectation past the table evaluate the log-terms:
+the first two read a block of the next R + _LOOKAHEAD, built on first use
+(R the table's length), and evaluate the formula past it. Every pmf value
+is the exponential of its own log-pmf, so none depends on pmf(0), which
+underflows for large m.
 
 Moments come in three flavors each: a brute-force series over the table's
 pmf, and two closed forms (Wright-series differences, and shifted
@@ -79,6 +84,13 @@ _LOOKAHEAD = 16
 # a kernel window reaches _WINDOW_MARGIN nats below _TAIL_ATOL / _LOOKAHEAD
 # of the peak, and _LOOKAHEAD terms further (see _window)
 _WINDOW_MARGIN = 3.0
+# sample's guide table has _GUIDE_PER_POINT buckets per support point, and
+# at least _GUIDE_MIN, rounded up to a power of two; at 16 bytes a bucket
+# that is 64 KB up to 256 points. Only a draw in a bucket that holds two or
+# more cdf points is searched: the end buckets, where the tails crowd, and
+# a few others
+_GUIDE_PER_POINT = 16
+_GUIDE_MIN = 4096
 
 
 @dataclass(frozen=True)
@@ -208,17 +220,23 @@ class WrightPoisson:
     # -- pmf / cdf ----------------------------------------------------
 
     def log_pmf(self, r: int) -> float:
-        """Read from the table; past it, evaluated from the log-terms."""
-        try:
-            # nan fails the sign test; inf % 1 is nan; a str, None or
-            # complex r fails the comparison itself
-            if not (r >= 0 and r % 1 == 0):
-                raise TypeError
-        except TypeError:
-            raise DomainError(f"r must be a nonnegative integer, got {r!r}") from None
-        r = int(r)
-        if r < len(self._log_pmf_list):
-            return self._log_pmf_list[r]
+        """Read from the table; past it, from a block of the next log-terms,
+        evaluated once; past that, evaluated from the log-terms."""
+        if not (type(r) is int and r >= 0):
+            try:
+                # nan fails the sign test; inf % 1 is nan; a str, None or
+                # complex r fails the comparison itself
+                if not (r >= 0 and r % 1 == 0):
+                    raise TypeError
+            except TypeError:
+                raise DomainError(f"r must be a nonnegative integer, got {r!r}") from None
+            r = int(r)
+        table = self._log_pmf_list
+        if r < len(table):
+            return table[r]
+        block = self._log_pmf_block
+        if r - len(table) < len(block):
+            return block[r - len(table)]
         if r > sys.float_info.max:  # no float holds r, and its term underflows
             return -math.inf
         # in Python floats inf - inf is a quiet nan: r log m and
@@ -226,6 +244,19 @@ class WrightPoisson:
         log_p = r * math.log(self.m) - float(sc.gammaln(self.alpha * r + self.beta))
         log_p -= self.log_normalizer
         return -math.inf if math.isnan(log_p) else log_p
+
+    @cached_property
+    def _log_pmf_block(self) -> list:
+        """log_pmf at the R + _LOOKAHEAD points past the table's R, by the
+        formula of the points past them, in one array pass; r log m stays
+        finite there, so the formula's nan never arises. Empty where alpha r
+        overflows, which numpy would warn about and Python floats do not."""
+        size = len(self._log_pmf_list)
+        stop = 2 * size + _LOOKAHEAD
+        if self.alpha * stop == math.inf:
+            return []
+        lt = _log_terms(self.alpha, self.beta, math.log(self.m), np.arange(size, stop))
+        return (lt - self.log_normalizer).tolist()
 
     def pmf(self, r: int) -> float:
         return math.exp(self.log_pmf(r))
@@ -237,6 +268,8 @@ class WrightPoisson:
         chained steps telescope against the direct evaluation.
         """
         a, b = self.alpha, self.beta
+        if not (type(r) is int and r >= 0):  # exact type first: a chained walk calls this
+            r = _integer_at_least("r", r, 0)
         r, pmf_r = _as_float("r", r), _as_float("pmf_r", pmf_r)
         # difference first: the two lgamma values are large and close,
         # and their rounding errors telescope across chained steps
@@ -245,23 +278,26 @@ class WrightPoisson:
 
     def cdf(self, r: int) -> float:
         """P(X <= r); past the end of the support table, its total mass."""
-        try:
-            # nan fails the sign test; an int too large for a float is
-            # finite; a str, None or complex r fails the comparison itself
-            if not (r >= 0 and r != math.inf):
-                raise TypeError
-        except TypeError:
-            raise DomainError(f"r must be finite and nonnegative, got {r!r}") from None
+        if not (type(r) is int and r >= 0):
+            try:
+                # nan fails the sign test; an int too large for a float is
+                # finite; a str, None or complex r fails the comparison itself
+                if not (r >= 0 and r != math.inf):
+                    raise TypeError
+            except TypeError:
+                raise DomainError(f"r must be finite and nonnegative, got {r!r}") from None
+            r = int(r)
         cdf = self._cdf_list
-        return cdf[min(int(r), len(cdf) - 1)]
+        return cdf[r] if r < len(cdf) else cdf[-1]
 
     def quantile(self, p: float) -> int:
-        try:
-            # a str, None or complex p fails the comparison itself
-            if not (0.0 <= p < 1.0):
-                raise TypeError
-        except TypeError:
-            raise DomainError("quantile requires p in [0, 1)") from None
+        if not (type(p) is float and 0.0 <= p < 1.0):
+            try:
+                # a str, None or complex p fails the comparison itself
+                if not (0.0 <= p < 1.0):
+                    raise TypeError
+            except TypeError:
+                raise DomainError("quantile requires p in [0, 1)") from None
         cdf = self._cdf_list
         r = bisect.bisect_left(cdf, p)
         if r == len(cdf):
@@ -409,15 +445,48 @@ class WrightPoisson:
             raise DomainError(f"t = {t!r} is too large: the mgf overflows")
         return mgf
 
+    @cached_property
+    def _guide(self):
+        """Guide table for sample's inversion (Chen and Asau 1974): B
+        buckets [j/B, (j+1)/B), B a power of two, so that u B and j / B
+        are exact. Bucket j holds lo = #{cdf < j/B}, or -1 where it holds
+        two or more cdf points, and a threshold: cdf[lo] where it holds
+        one, +inf where it holds none or lo is the last support point.
+        For u in bucket j, every cdf point below j/B lies below u and none
+        past the bucket does, so lo + (threshold < u) is the clamped left
+        search of u; only the marked buckets need the search itself."""
+        cdf = self._cdf
+        buckets = 1 << max(cdf.size * _GUIDE_PER_POINT - 1, _GUIDE_MIN - 1).bit_length()
+        held = np.bincount((cdf[cdf < 1.0] * buckets).astype(np.intp), minlength=buckets)
+        lo = np.cumsum(held) - held
+        thr = np.full(buckets, math.inf)
+        one = (held == 1) & (lo < cdf.size - 1)
+        thr[one] = cdf[lo[one]]
+        base = np.minimum(lo, cdf.size - 1).astype(np.int64)
+        base[held > 1] = -1
+        return base, thr
+
+    def _search(self, u: np.ndarray) -> np.ndarray:
+        """The left search of each u in [0, 1) in the cdf, clamped to the
+        last support point, as int64: bucket j = floor(u B) gives it
+        without a branch per draw, and only draws in marked buckets are
+        searched."""
+        base, thr = self._guide
+        j = (u * base.size).astype(np.intp)
+        values = base[j] + (thr[j] < u)
+        if values.min() < 0:  # draws in buckets of two or more cdf points
+            miss = values < 0
+            found = self._cdf.searchsorted(u[miss], side="left")
+            # u above the tabulated mass clamps to the last support point
+            values[miss] = np.minimum(found, self._cdf.size - 1)
+        return values
+
     def sample(self, n: int, seed: int) -> SampleBatch:
         """n i.i.d. draws by CDF inversion; deterministic given seed."""
         n = _integer_at_least("n", n, 1)
         seed = _integer_at_least("seed", seed, 0)
         u = np.random.default_rng(seed).random(n)
-        values = self._cdf.searchsorted(u, side="left")
-        # u above the tabulated mass clamps to the last support point
-        np.minimum(values, self._cdf.size - 1, out=values)
-        return SampleBatch(values=values.astype(np.int64, copy=False), seed=seed, n=n)
+        return SampleBatch(values=self._search(u), seed=seed, n=n)
 
 
 def new_wright_poisson(

@@ -105,11 +105,14 @@ class CountData:
         arr = arr.astype(np.int64, copy=False)
         if arr.min() < 0:
             raise ParseError("counts must be nonnegative")
-        if arr.size * int(arr.max()) < 2**63:
+        top = int(arr.max())
+        if arr.size * top < 2**63:
             total = int(arr.sum())
         else:  # an int64 sum would wrap
             total = sum(arr.tolist())
-        return cls(counts=arr, n=int(arr.size), sum=total)
+        data = cls(counts=arr, n=int(arr.size), sum=total)
+        data.__dict__["max_count"] = top  # max_count's cache, as cached_property keeps it
+        return data
 
     @property
     def mean(self) -> float:
@@ -119,6 +122,16 @@ class CountData:
     def histogram(self) -> tuple:
         """(distinct counts, how often each occurs), computed once."""
         return np.unique(self.counts, return_counts=True)
+
+    @cached_property
+    def max_count(self) -> int:
+        """The largest count, computed once."""
+        return int(self.counts.max())
+
+    @cached_property
+    def frequencies(self) -> np.ndarray:
+        """How often each of 0..max_count occurs, computed once."""
+        return np.bincount(self.counts)
 
 
 @dataclass(frozen=True)
@@ -322,9 +335,9 @@ def fit_m(
             raise NonConvergenceError(f"rate fit took more than {_MAX_ITER} steps")
     log_m = math.log(m_hat)
     log_z, _, lt, _, _ = _window(alpha, beta, log_m, ctrl)
-    top = int(data.counts.max())
-    if top < lt.size:  # sum h_r log pmf(r), h the counts' histogram
-        ll = float(np.bincount(data.counts) @ lt[:top + 1]) - data.n * log_z
+    top = data.max_count
+    if top < lt.size:  # sum h_r log pmf(r), h the counts' frequencies
+        ll = float(data.frequencies @ lt[:top + 1]) - data.n * log_z
     else:
         ll = _log_likelihood(data, alpha, beta, log_m, log_z)
     return FitResult(

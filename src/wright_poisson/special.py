@@ -125,15 +125,17 @@ def exp_saturating(x: float) -> float:
         return math.inf
 
 
-def _integer_at_least(name: str, x, low: int) -> int:
-    """x as an int; a count, a seed or a term budget must be an integer >= low."""
-    if not (isinstance(x, numbers.Integral) and x >= low):
-        raise DomainError(f"{name} must be an integer >= {low}, got {x!r}")
-    return int(x)
-
-
 # float and int match by exact type, 20 times faster than the ABC alone
 _REAL = (float, int, numbers.Real)
+_INTEGRAL = (int, numbers.Integral)
+
+
+def _integer_at_least(name: str, x, low: int) -> int:
+    """x as an int; a count, a seed, a term budget or a term index must be
+    an integer >= low."""
+    if not (isinstance(x, _INTEGRAL) and x >= low):
+        raise DomainError(f"{name} must be an integer >= {low}, got {x!r}")
+    return int(x)
 
 
 def _as_float(name: str, x) -> float:
@@ -182,8 +184,8 @@ class WrightSpec:
     z: float
 
     def __init__(self, upper, lower, z):
-        upper = tuple((_as_float("upper a", a), _finite("upper alpha", al)) for a, al in upper)
-        lower = tuple((_as_float("lower b", b), _finite("lower beta", be)) for b, be in lower)
+        upper = tuple((_finite("upper a", a), _finite("upper alpha", al)) for a, al in upper)
+        lower = tuple((_finite("lower b", b), _finite("lower beta", be)) for b, be in lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "z", _finite("z", z))
@@ -275,7 +277,8 @@ def _wright_log_terms(spec: WrightSpec, k: np.ndarray):
 def wright_term(spec: WrightSpec, k: int) -> float:
     """Single series term; exactly 0.0 when a lower gamma pole kills it.
     Raises DomainError on an upper-gamma pole."""
-    logmag, sign = _wright_log_terms(spec, np.array([_as_float("k", k)]))
+    index = _as_float("k", _integer_at_least("k", k, 0))
+    logmag, sign = _wright_log_terms(spec, np.array([index]))
     if np.isnan(sign[0]):
         raise DomainError(f"upper gamma argument hits a pole at term k={k}")
     return 0.0 if logmag[0] == -np.inf else float(sign[0] * np.exp(logmag[0]))
@@ -369,7 +372,7 @@ def mittag_leffler(
     alpha: float, z: float, ctrl: SeriesControl = _DEFAULT_CTRL
 ) -> SeriesResult:
     """One-parameter Mittag-Leffler: sum z^k / Gamma(1 + alpha k)."""
-    if not (_as_float("alpha", alpha) > 0.0):
+    if not (_finite("alpha", alpha) > 0.0):
         raise DomainError("mittag_leffler requires alpha > 0")
     return mittag_leffler2(alpha, 1.0, z, ctrl)
 
@@ -381,7 +384,7 @@ def mittag_leffler2(
 
     beta may be any finite real; pole terms vanish.
     """
-    alpha = _as_float("alpha", alpha)
+    alpha = _finite("alpha", alpha)
     if not (alpha > 0.0):
         raise DomainError("mittag_leffler2 requires alpha > 0")
     beta, z = _finite("beta", beta), _finite("z", z)
@@ -397,7 +400,7 @@ def mittag_leffler3(
 ) -> SeriesResult:
     """Three-parameter (Prabhakar) Mittag-Leffler:
     sum (gamma)_k z^k / (Gamma(alpha k + beta) k!)."""
-    alpha = _as_float("alpha", alpha)
+    alpha = _finite("alpha", alpha)
     if not (alpha > 0.0):
         raise DomainError("mittag_leffler3 requires alpha > 0")
     beta, gamma, z = _finite("beta", beta), _finite("gamma", gamma), _finite("z", z)

@@ -2,6 +2,7 @@
 a real number (numbers.Real), or not the CountData a fit takes, is a
 DomainError that names it, never a bare TypeError or a silent float()."""
 
+import math
 import re
 from decimal import Decimal
 
@@ -89,3 +90,22 @@ def test_real_arguments_of_any_type_give_the_float_answer(value):
     assert mittag_leffler2(value, value, value) == want
     assert mittag_leffler(value, 1.0) == want
     assert _D.mgf(value * 0.5) == _D.mgf(0.5)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, -1, math.nan, math.inf, np.float64(3.0)])
+@pytest.mark.parametrize(
+    "call, name",
+    [(lambda x: wright_term(_SPEC, x), "k"), (lambda x: _D.pmf_recurrence_step(x, 0.1), "r")],
+    ids=["wright_term", "pmf_recurrence_step"],
+)
+def test_term_index_must_be_a_nonnegative_integer(call, name, value):
+    # a float index, even an integral one, a negative one and nan or inf
+    # used to return a number
+    with pytest.raises(DomainError, match=f"^{name} must be an integer >= 0, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, np.int64(5), True])
+def test_integer_term_index_gives_the_float_answer(k):
+    assert wright_term(_SPEC, k) == wright_term(_SPEC, int(k))
+    assert _D.pmf_recurrence_step(k, 0.1) == _D.pmf_recurrence_step(int(k), 0.1)

@@ -776,3 +776,95 @@ class TestTableReads:
         monkeypatch.setattr(np, "errstate", forbidden)
         assert [d.log_pmf(r) for r in rs] == want
         assert want[-1] == -math.inf
+
+
+def _clamped_search(cdf, u):
+    return np.minimum(cdf.searchsorted(u, "left"), cdf.size - 1).astype(np.int64)
+
+
+# tables of 1, 2 and 3 entries; a last cdf point alone in its bucket, two
+# ulps below 1, past which the lookup must clamp; cdf tails flat at 0
+# (pmf(0) underflows) and at the end, below and above 1; the Poisson line
+_SAMPLE_POINTS = [(0.1, 0.1, 1e-300), (0.1, 0.1, 1e-8), (3.0, 3.0, 0.001),
+                  (30.0, 1.0, 7.957585794365732e+32),
+                  (0.5, 0.1, 30.0), (0.21796362590946003, 8.923726620602409, 5.062433677111769),
+                  (0.20050294587726017, 1.7684290186896696, 2.8751115637128803),
+                  (1.0, 1.0, 0.1), (1.0, 1.0, 4.0), (1.0, 1.0, 229.74723709536468),
+                  (1.0, 1.0, 1000.0)]
+
+
+class TestGuideTable:
+    """sample inverts the cdf through a guide table; each draw is the left
+    search of its uniform in the cdf, clamped to the last support point."""
+
+    def test_points_cover_short_tables_lone_ends_and_flat_tails(self):
+        sizes, lone_end, flat_start, flat_end = set(), False, False, set()
+        for point in _SAMPLE_POINTS:
+            d = new_wright_poisson(*point)
+            cdf = np.cumsum(d.support_pmf())
+            buckets = d._guide[0].size
+            sizes.add(cdf.size)
+            lone_end |= np.nextafter(cdf[-1], 2.0) < 1.0 and int(cdf[-2] * buckets) < int(cdf[-1] * buckets)
+            flat_start |= cdf.size > 1 and cdf[0] == cdf[1] == 0.0
+            if cdf.size > 2 and cdf[-1] == cdf[-3]:
+                flat_end.add(cdf[-1] < 1.0)
+        assert {1, 2, 3} <= sizes and lone_end and flat_start and flat_end == {False, True}
+
+    @settings(max_examples=60, deadline=None)
+    @given(point=st.sampled_from(_SAMPLE_POINTS), n=st.sampled_from([1, 1000, 100_000]),
+           seed=st.integers(0, 2**63))
+    def test_sample_is_the_clamped_search(self, point, n, seed):
+        d = new_wright_poisson(*point)
+        cdf = np.cumsum(d.support_pmf())
+        values = d.sample(n, seed).values
+        assert values.dtype == np.int64
+        assert np.array_equal(values, _clamped_search(cdf, np.random.default_rng(seed).random(n)))
+
+    @pytest.mark.parametrize("point", _SAMPLE_POINTS)
+    def test_lookup_at_every_edge(self, point):
+        d = new_wright_poisson(*point)
+        cdf = np.cumsum(d.support_pmf())
+        buckets = d._guide[0].size
+        assert buckets & (buckets - 1) == 0
+        edges = np.arange(buckets) / buckets
+        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), edges,
+                            np.nextafter(edges, -1.0), [0.0, np.nextafter(cdf[-1], 2.0),
+                                                        np.nextafter(1.0, 0.0)]])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert np.array_equal(d._search(u), _clamped_search(cdf, u))
+
+    def test_guide_is_built_on_the_first_sample(self):
+        d = new_wright_poisson(1.0, 1.0, 4.0)
+        assert "_guide" not in vars(d)
+        d.sample(10, 1)
+        assert "_guide" in vars(d)
+
+
+class TestPastTheTable:
+    """Past the table, log_pmf reads one block of the next R + _LOOKAHEAD
+    log-terms, built on first use; past the block, the scalar formula."""
+
+    @pytest.mark.parametrize("a, b, m", _TABLE_POINTS)
+    def test_block_is_the_direct_formula_in_one_gammaln_call(self, monkeypatch, a, b, m):
+        d = new_wright_poisson(a, b, m)
+        size = d.support_pmf().size
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return gammaln(x)
+
+        monkeypatch.setattr(distribution.sc, "gammaln", counted)
+        for r in range(size, 3 * size + 65):
+            assert d.log_pmf(r) == r * math.log(m) - gammaln(a * r + b) - d.log_normalizer, r
+            if r == 2 * size + distribution._LOOKAHEAD - 1:
+                assert calls == [size + distribution._LOOKAHEAD]
+        assert calls[1:] == [1] * (size + 65 - distribution._LOOKAHEAD)
+
+    def test_no_block_where_alpha_r_overflows(self):
+        # alpha * 17 overflows a float, so numpy would warn; the table has
+        # one entry and the scalar formula answers every r past it
+        d = new_wright_poisson(1.1e307, 1.0, 1.0)
+        assert d.support_pmf().size == 1
+        assert d.log_pmf(17) == -math.inf
+        assert d._log_pmf_block == []

@@ -144,6 +144,30 @@ class TestCountData:
         assert data.sum == 2**63
         assert type(data.sum) is int
 
+    @pytest.mark.parametrize("build", [CountData.from_counts,
+                                       lambda c: CountData(np.asarray(c), len(c), sum(c))],
+                             ids=["from_counts", "constructor"])
+    def test_max_count_and_frequencies(self, build):
+        data = build([3, 0, 3, 1])
+        assert data.max_count == 3 and type(data.max_count) is int
+        assert data.frequencies.tolist() == [1, 1, 0, 2]
+
+    def test_one_data_pass_per_count_data(self, monkeypatch):
+        # fit_full's fit_m calls share one maximum and one bincount
+        data = CountData.from_counts(np.random.default_rng(5).poisson(3.0, 500))
+        calls = []
+        bincount = np.bincount
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(estimation.np, "bincount", counted)
+        fit_full(data)
+        assert len(calls) == 1
+        # from_counts keeps the maximum of its int64 guard
+        assert vars(data)["max_count"] == int(data.counts.max())
+
 
 class TestLogLikelihood:
     def test_classical_reduction(self):

@@ -299,6 +299,30 @@ class TestNonFiniteArgument:
         with pytest.raises(DomainError, match=f"^{name} is beyond the float range$"):
             call()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "call, name",
+        [(lambda x: mittag_leffler(x, 0.5), "alpha"),
+         (lambda x: mittag_leffler2(x, 1.0, 0.5), "alpha"),
+         (lambda x: mittag_leffler3(x, 1.0, 1.0, 0.5), "alpha"),
+         (lambda x: WrightSpec([(x, 1.0)], [(1.0, 1.0)], 0.5), "upper a"),
+         (lambda x: WrightSpec([(1.0, 1.0)], [(x, 1.0)], 0.5), "lower b")],
+        ids=["ml-alpha", "ml2-alpha", "ml3-alpha", "spec-a", "spec-b"],
+    )
+    def test_non_finite_shape_is_typed(self, call, name, value):
+        # before the series sums: alpha = inf made numpy warn of an invalid
+        # product, and a = inf or b = inf built a WrightSpec
+        with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+            call(value)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, -(10**300)])
+    def test_finite_alpha_not_above_zero_keeps_its_message(self, alpha):
+        for name, call in [("mittag_leffler", lambda: mittag_leffler(alpha, 0.5)),
+                           ("mittag_leffler2", lambda: mittag_leffler2(alpha, 1.0, 0.5)),
+                           ("mittag_leffler3", lambda: mittag_leffler3(alpha, 1.0, 1.0, 0.5))]:
+            with pytest.raises(DomainError, match=f"^{name} requires alpha > 0$"):
+                call()
+
 
 class TestSizedFirstBlock:
     """_term_window sizes the normalizer's windows from the terms' peak; the

@@ -1,6 +1,7 @@
-"""Compare the answers of two source trees of wright_poisson, record by record.
+"""Compare the answers, or the speed, of two source trees of wright_poisson.
 
     python tools/ab.py PARENT_SRC CHANGE_SRC [--design {small,full,large}]
+    python tools/ab.py PARENT_SRC CHANGE_SRC --time [--rounds N] [--seconds S]
 
 Each tree is imported in a subprocess of its own (``PYTHONPATH=<tree>``),
 which evaluates one fixed, seeded design and writes one JSON line per
@@ -18,6 +19,18 @@ and reads nothing from the network. ``small`` (945 records) runs in about
 a second per tree, ``full`` (9805 records, the default) in a few seconds
 and ``large`` (about 326 000 records) in about half a minute. The exit status is
 0 when every record matches and 1 otherwise.
+
+``--time`` times the bench's ``fit`` and ``query_hot`` ops (from
+``bench/workloads.py`` of this checkout, at bench seed 1) instead. Each
+round runs one subprocess per tree, the parent first in even rounds and
+the change first in odd ones. A subprocess sets the two workloads up,
+runs one untimed cycle of each, and then times ``run`` on op 0, 1, ...
+for S seconds per workload (default 2), ending at a whole input cycle, as
+the bench does; it reports the ops per second of timed work and the median
+op latency. For each workload and figure the tool prints both trees'
+median and quartiles over the rounds (default 10), and in how many rounds
+the change was faster. A speed claim needs at least 10 rounds; fewer only
+check that the tool runs.
 """
 
 from __future__ import annotations
@@ -27,9 +40,11 @@ import collections
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from decimal import Decimal
 
 import numpy as np
@@ -44,6 +59,14 @@ FIXED_POINTS = [(0.1, 0.1, 0.5), (10.0, 10.0, 200.0), (0.5, 2.0, 30.0), (1.0, 1.
 BAD_ARGUMENTS = {"'1'": "1", "None": None, "1+2j": 1 + 2j, "Decimal('1')": Decimal("1"),
                  "np.array(1.0)": np.array(1.0), "nan": math.nan, "inf": math.inf,
                  "-1": -1, "0": 0, "10**400": 10**400, "2.5": 2.5}
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+# the timed workloads, the bench seed of their inputs and the op index of
+# their untimed warm-up cycle, as in bench/run.py
+TIMED = ("fit", "query_hot")
+TIME_SEED = 1
+WARMUP_BASE = 10**7
+# (name, unit, decimals, whether higher is faster) of each figure a timing child reports
+FIGURES = (("throughput_ops_s", "1/s", 0, True), ("latency_p50_us", "us", 1, False))
 
 
 def _outcome(fn):
@@ -190,6 +213,65 @@ def run_tree(src, design, path):
     return header
 
 
+def time_ops(seconds, out):
+    """Time the TIMED workloads' ops for ``seconds`` each and write their
+    figures, and the library file, as one JSON line."""
+    sys.path.insert(0, BENCH)
+    import wright_poisson
+    import workloads
+
+    result = {"library": wright_poisson.__file__}
+    for name in TIMED:
+        work = workloads.WORKLOADS[name](wright_poisson, TIME_SEED)
+        work.setup()
+        for i in range(work.cycle):
+            work.run(work.make_input(WARMUP_BASE + i), {})
+        latencies = []
+        t_end = time.perf_counter() + seconds
+        while time.perf_counter() < t_end or len(latencies) % work.cycle or not latencies:
+            inp = work.make_input(len(latencies))
+            t0 = time.perf_counter()
+            work.run(inp, {})
+            latencies.append(time.perf_counter() - t0)
+        result[name] = {"throughput_ops_s": len(latencies) / sum(latencies),
+                        "latency_p50_us": 1e6 * statistics.median(latencies)}
+    out.write(json.dumps(result) + "\n")
+
+
+def time_tree(src, seconds):
+    """One timing child on the tree at src; its figures by workload."""
+    src = os.path.abspath(src)
+    argv = [sys.executable, os.path.abspath(__file__), "--time-child", repr(seconds)]
+    proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, check=True, cwd=src)
+    result = json.loads(proc.stdout)
+    if not os.path.abspath(result["library"]).startswith(src + os.sep):
+        raise SystemExit(f"{src}: imported wright_poisson from {result['library']}")
+    return result
+
+
+def compare_times(parent, change, rounds, seconds, out=sys.stdout):
+    """Alternate timing children of the two trees for ``rounds`` rounds and
+    print each figure's medians, quartiles and the change's wins."""
+    trees = {"parent": parent, "change": change}
+    runs = {label: [] for label in trees}
+    for i in range(rounds):
+        for label in (trees if i % 2 == 0 else reversed(trees)):
+            runs[label].append(time_tree(trees[label], seconds))
+    out.write(f"timing: {rounds} rounds of one subprocess per tree, {seconds:g} s of ops per"
+              f" workload, bench seed {TIME_SEED}; the parent runs first in even rounds\n")
+    for name in TIMED:
+        for figure, unit, decimals, higher in FIGURES:
+            old, new = ([r[name][figure] for r in runs[label]] for label in trees)
+            cells = []
+            for label, values in zip(trees, (old, new)):
+                q1, med, q3 = np.percentile(values, [25, 50, 75])
+                cells.append(f"{label} {med:.{decimals}f} [{q1:.{decimals}f}, {q3:.{decimals}f}]")
+            wins = sum((c > p) if higher else (c < p) for p, c in zip(old, new))
+            out.write(f"{name} {figure} ({unit}, median [quartiles]): {cells[0]}; {cells[1]};"
+                      f" change faster in {wins} of {rounds} rounds\n")
+
+
 def _load(path):
     with open(path, encoding="utf-8") as fh:
         fh.readline()
@@ -233,13 +315,27 @@ def main(argv=None):
     ap.add_argument("parent", nargs="?", help="the parent tree's src directory")
     ap.add_argument("change", nargs="?", help="the changed tree's src directory")
     ap.add_argument("--design", choices=sorted(SIZES), default="full")
+    ap.add_argument("--time", action="store_true",
+                    help="time the bench's fit and query_hot ops instead of comparing answers")
+    ap.add_argument("--rounds", type=int, default=10, help="timing rounds (default 10)")
+    ap.add_argument("--seconds", type=float, default=2.0,
+                    help="seconds of ops per workload in each timing subprocess (default 2)")
     ap.add_argument("--emit", choices=sorted(SIZES), help=argparse.SUPPRESS)
+    ap.add_argument("--time-child", type=float, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.emit:
         emit(args.emit, sys.stdout)
         return 0
+    if args.time_child is not None:
+        time_ops(args.time_child, sys.stdout)
+        return 0
     if not (args.parent and args.change):
         ap.error("PARENT_SRC and CHANGE_SRC are required")
+    if args.time:
+        if args.rounds < 1 or not args.seconds > 0.0:
+            ap.error("--rounds must be at least 1 and --seconds above 0")
+        compare_times(args.parent, args.change, args.rounds, args.seconds)
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, "parent.jsonl"), os.path.join(tmp, "change.jsonl")]
         for label, src, path in zip(("parent", "change"), (args.parent, args.change), paths):
