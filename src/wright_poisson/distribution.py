@@ -17,17 +17,18 @@ _TAIL_ATOL (or raises if that point is not inside the window).
 The windows come from one kernel, ``_window``, which returns log Z, the
 log-terms and their peak-scaled weights; the table, mgf (at log rate
 t + log m, so e^t m is never formed) and the rate fit each use one window.
-log_pmf, pmf, cdf and quantile read the log-pmf and the cdf as lists of
-Python floats, which they index or bisect without numpy's per-call cost,
-checking an int r or a float p by its exact type first; support_pmf copies
-the pmf array. sample inverts the cdf through a guide table, built on its
-first call, whose buckets give each draw's index by one lookup and one
-comparison; only draws in buckets of two or more cdf points are searched.
-Only log_pmf, pmf and expectation past the table evaluate the log-terms:
-the first two read a block of the next R + _LOOKAHEAD, built on first use
-(R the table's length), and evaluate the formula past it. Every pmf value
-is the exponential of its own log-pmf, so none depends on pmf(0), which
-underflows for large m.
+The distribution keeps the whole window: the log-pmf (as a list of Python
+floats) and the pmf over [0, K). The cdf, quantile, sample and support_pmf
+end at the table's end R, inside the window. log_pmf and pmf read the log-pmf list below K, and cdf and quantile
+read the cdf as a list, which they index or bisect without numpy's
+per-call cost, checking an int r or a float p by its exact type first;
+support_pmf copies the pmf array up to R. sample inverts the cdf through a
+guide table, built on its first call, whose buckets give each draw's index
+by one lookup and one comparison; only draws in buckets of two or more cdf
+points are searched. Only log_pmf, pmf and expectation past the window
+evaluate the log-terms: the first two by the scalar formula, expectation in
+chunks from K. Every pmf value is the exponential of its own log-pmf, so
+none depends on pmf(0), which underflows for large m.
 
 Moments come in three flavors each: a brute-force series over the table's
 pmf, and two closed forms (Wright-series differences, and shifted
@@ -52,6 +53,7 @@ import numpy as np
 from .special import (
     DomainError,
     _as_float,
+    _control,
     _finite,
     _positive_real,
     exp_saturating,
@@ -79,7 +81,10 @@ __all__ = [
 # tail bound puts the mass past it below _TAIL_ATOL
 _MASS_TOL = 1e-13
 _TAIL_ATOL = 1e-15
-# expectation stops once its last _LOOKAHEAD contributions are negligible
+# expectation stops once its last _LOOKAHEAD contributions are negligible;
+# a window not cut at max_terms reaches _LOOKAHEAD terms past the depth the
+# table's end rule needs, so log_pmf, pmf and expectation read the terms
+# just past the table's end from the window
 _LOOKAHEAD = 16
 # a kernel window reaches _WINDOW_MARGIN nats below _TAIL_ATOL / _LOOKAHEAD
 # of the peak, and _LOOKAHEAD terms further (see _window)
@@ -120,9 +125,19 @@ def _ratio(num: SeriesResult, log_den: float) -> float:
     return num.value / exp_saturating(log_den)
 
 
-def _log_terms(alpha: float, beta: float, log_m: float, r):
-    """log(m^r / Gamma(alpha r + beta)) at an integer or an array of them."""
-    return r * log_m - sc.gammaln(alpha * r + beta)
+def _log_terms(alpha: float, beta: float, log_m: float, r: np.ndarray) -> np.ndarray:
+    """log(m^r / Gamma(alpha r + beta)) at an ascending array of integers r.
+
+    Where alpha r + beta or r log m passes the float range, the term lies
+    below every float and its log is -inf; numpy warns at such an overflow,
+    so an array whose last r reaches one is evaluated with the warning off.
+    ln Gamma(x) is below x log(DBL_MAX) for x >= 1 (and below 745 under 1),
+    so the one check at the last r bounds the difference too."""
+    last = r.item(-1)
+    if (alpha * last + beta) * _LOG_FLOAT_MAX - last * log_m < math.inf:
+        return r * log_m - sc.gammaln(alpha * r + beta)
+    with np.errstate(over="ignore"):
+        return r * log_m - sc.gammaln(alpha * r + beta)
 
 
 def _mass_floor(log_z: float) -> float:
@@ -200,9 +215,10 @@ def _window(alpha: float, beta: float, log_m: float, ctrl: SeriesControl):
 
 @dataclass(frozen=True)
 class WrightPoisson:
-    """Validated parameters, the log-normalizer and the log-pmf/pmf/cdf
-    table over the support, from one window of log-terms; the log-pmf and
-    the cdf also as lists of Python floats, for the scalar queries.
+    """Validated parameters, the log-normalizer, and the log-pmf and pmf
+    over the window [0, K) that sums it; the cdf over the support table
+    [0, R), R < K. The log-pmf and the cdf also as lists of Python floats,
+    for the scalar queries.
 
     Immutable; build through :func:`new_wright_poisson`.
     """
@@ -220,8 +236,7 @@ class WrightPoisson:
     # -- pmf / cdf ----------------------------------------------------
 
     def log_pmf(self, r: int) -> float:
-        """Read from the table; past it, from a block of the next log-terms,
-        evaluated once; past that, evaluated from the log-terms."""
+        """Read from the window; past it, evaluated from the log-term."""
         if not (type(r) is int and r >= 0):
             try:
                 # nan fails the sign test; inf % 1 is nan; a str, None or
@@ -231,12 +246,9 @@ class WrightPoisson:
             except TypeError:
                 raise DomainError(f"r must be a nonnegative integer, got {r!r}") from None
             r = int(r)
-        table = self._log_pmf_list
-        if r < len(table):
-            return table[r]
-        block = self._log_pmf_block
-        if r - len(table) < len(block):
-            return block[r - len(table)]
+        window = self._log_pmf_list
+        if r < len(window):
+            return window[r]
         if r > sys.float_info.max:  # no float holds r, and its term underflows
             return -math.inf
         # in Python floats inf - inf is a quiet nan: r log m and
@@ -244,19 +256,6 @@ class WrightPoisson:
         log_p = r * math.log(self.m) - float(sc.gammaln(self.alpha * r + self.beta))
         log_p -= self.log_normalizer
         return -math.inf if math.isnan(log_p) else log_p
-
-    @cached_property
-    def _log_pmf_block(self) -> list:
-        """log_pmf at the R + _LOOKAHEAD points past the table's R, by the
-        formula of the points past them, in one array pass; r log m stays
-        finite there, so the formula's nan never arises. Empty where alpha r
-        overflows, which numpy would warn about and Python floats do not."""
-        size = len(self._log_pmf_list)
-        stop = 2 * size + _LOOKAHEAD
-        if self.alpha * stop == math.inf:
-            return []
-        lt = _log_terms(self.alpha, self.beta, math.log(self.m), np.arange(size, stop))
-        return (lt - self.log_normalizer).tolist()
 
     def pmf(self, r: int) -> float:
         return math.exp(self.log_pmf(r))
@@ -310,13 +309,13 @@ class WrightPoisson:
         """pmf values 0..R, where R is the table's end: the first r whose cdf
         reaches 1 - _MASS_TOL (less an ulp of log Z) and past which the tail
         bound puts less than _TAIL_ATOL of the mass."""
-        return self._pmf.copy()
+        return self._pmf[: self._cdf.size].copy()
 
     def expectation(self, weight: Callable[[int], float]) -> float:
         """sum_r weight(r) * pmf(r), stopped once the cumulative mass is
         complete and the last window of contributions is negligible.
 
-        The pmf is read from the support table and doubled past its end.
+        The pmf is read from the window and doubled past its end.
         The window guard matters for growing weights like e^{tr}: the
         sum continues well past the mass cutoff until the weighted
         contributions themselves die out.
@@ -327,7 +326,7 @@ class WrightPoisson:
         mass = 0.0
         window: deque = deque(maxlen=_LOOKAHEAD)
         for r in range(self.ctrl.max_terms + 1):
-            if r == pmf.size:  # past the table: evaluate the next r terms
+            if r == pmf.size:  # past the window: evaluate the next r terms
                 lt = _log_terms(self.alpha, self.beta, math.log(self.m), np.arange(r, 2 * r))
                 pmf = np.append(pmf, np.exp(lt - self.log_normalizer))
             p = float(pmf[r])
@@ -496,6 +495,7 @@ def new_wright_poisson(
     alpha = _positive_real("alpha", alpha)
     beta = _positive_real("beta", beta)
     m = _positive_real("m", m)
+    ctrl = _control(ctrl)
     # the window reaches far enough below the peak for the table's end rule
     log_z, _, lt, _, _ = _window(alpha, beta, math.log(m), ctrl)
     log_pmf = lt - log_z
@@ -508,6 +508,4 @@ def new_wright_poisson(
             f" (max_terms = {ctrl.max_terms})"
         )
     cdf = cdf[:end]
-    return WrightPoisson(
-        alpha, beta, m, log_z, ctrl, pmf[:end], cdf, log_pmf[:end].tolist(), cdf.tolist()
-    )
+    return WrightPoisson(alpha, beta, m, log_z, ctrl, pmf, cdf, log_pmf.tolist(), cdf.tolist())

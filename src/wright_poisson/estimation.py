@@ -31,6 +31,7 @@ from .special import (
     SeriesControl,
     _DEFAULT_CTRL,
     _LOG_FLOAT_MAX,
+    _control,
     _positive_real,
     mittag_leffler2,
     sc,
@@ -281,6 +282,7 @@ def fit_m(
         raise DomainError("need at least one observation")
     alpha = _positive_real("alpha", alpha)
     beta = _positive_real("beta", beta)
+    ctrl = _control(ctrl)
 
     floor = math.log(M_FLOOR)
     m_hat, converged, iters = M_FLOOR, False, 0  # an all-zero sample
@@ -359,6 +361,7 @@ def fit_full(data: CountData, ctrl: SeriesControl = _DEFAULT_CTRL) -> FitResult:
     n E[psi(aX+b)] - sum_i psi(a r_i+b). Returns the best point evaluated,
     ``converged`` if its projected gradient is within _GRAD_TOL."""
     uniq, wts = _count_data(data).histogram
+    ctrl = _control(ctrl)
     if uniq.size == 1:
         raise DegenerateDataError("all counts equal: shape parameters unidentified")
     # imported here, not at module level: with the scipy.special package it

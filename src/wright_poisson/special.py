@@ -17,7 +17,8 @@ real argument must be a ``numbers.Real`` (int, float, Fraction, a numpy
 scalar), or a DomainError names it. A str, None, complex, Decimal or 0-d
 array is not one, although float() would take some of them. ``_as_float``
 states the rule, ``_finite`` adds finiteness and ``_positive_real`` the
-model parameters' x > 0; the distribution and the fits import them.
+model parameters' x > 0; ``_control`` takes a ``ctrl`` only as a
+SeriesControl. The distribution and the fits import them.
 
 The gamma ufuncs come from scipy's compiled ``_special_ufuncs`` module,
 loaded by file without importing the ``scipy`` package, with
@@ -208,6 +209,13 @@ class SeriesControl:
 _DEFAULT_CTRL = SeriesControl()
 
 
+def _control(ctrl) -> SeriesControl:
+    """ctrl as given; a truncation policy must be a SeriesControl."""
+    if not isinstance(ctrl, SeriesControl):
+        raise DomainError(f"ctrl must be a SeriesControl, got {type(ctrl).__name__}")
+    return ctrl
+
+
 @dataclass(frozen=True)
 class SeriesResult:
     """A summed series and the terms it took. ``converged`` is True on every
@@ -359,6 +367,7 @@ def _sum_terms(log_terms: Callable, ctrl: SeriesControl) -> SeriesResult:
 
 def wright_series(spec: WrightSpec, ctrl: SeriesControl = _DEFAULT_CTRL) -> SeriesResult:
     """Evaluate the generalized Wright series at spec.z."""
+    ctrl = _control(ctrl)
     if wright_convergence_index(spec) <= -1.0:
         warnings.warn(
             "convergence index <= -1: series may diverge",
@@ -387,7 +396,7 @@ def mittag_leffler2(
     alpha = _finite("alpha", alpha)
     if not (alpha > 0.0):
         raise DomainError("mittag_leffler2 requires alpha > 0")
-    beta, z = _finite("beta", beta), _finite("z", z)
+    beta, z, ctrl = _finite("beta", beta), _finite("z", z), _control(ctrl)
     return _sum_terms(lambda k: _lower_gamma(*_power(z, k), alpha * k + beta), ctrl)
 
 
@@ -404,6 +413,7 @@ def mittag_leffler3(
     if not (alpha > 0.0):
         raise DomainError("mittag_leffler3 requires alpha > 0")
     beta, gamma, z = _finite("beta", beta), _finite("gamma", gamma), _finite("z", z)
+    ctrl = _control(ctrl)
 
     def terms(k):
         # log|(gamma)_k / k!| and its sign as a product of the ratios

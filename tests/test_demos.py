@@ -1,4 +1,6 @@
-"""Each demo script runs to completion against the source tree."""
+"""Each demo script runs to completion against the source tree, under the
+suite's own warning filter (filterwarnings in pyproject.toml): a
+RuntimeWarning, DeprecationWarning, FutureWarning or UserWarning is an error."""
 
 import os
 import pathlib
@@ -9,6 +11,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+WARNINGS_AS_ERRORS = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+                      "-W", "error::FutureWarning", "-W", "error::UserWarning"]
 
 
 def test_demos_found():
@@ -19,7 +23,7 @@ def test_demos_found():
 def test_demo_exits_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env,
+        [sys.executable, *WARNINGS_AS_ERRORS, str(demo)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

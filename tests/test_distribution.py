@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -309,6 +310,14 @@ class TestMgf:
         assert new_wright_poisson(1.0, 1.0, 2.0).mgf(t) == pytest.approx(math.exp(-2.0), rel=1e-15)
 
 
+    @pytest.mark.parametrize("t", [-1.2e307, -1e308])
+    def test_t_log_rate_past_the_float_range_inside_the_window_is_pmf_0(self, t):
+        # k (t + log m) overflows inside the numerator's window, where the
+        # terms are 0; mgf(-1e307) reaches no overflow
+        d = new_wright_poisson(1.0, 1.0, 1.0)
+        assert d.mgf(t) == d.pmf(0) == 0.36787944117144233
+
+
 class TestOneNormalizer:
     """The moment methods take Z from log_normalizer and the pmf from the
     support table; only the numerators are series of their own."""
@@ -515,6 +524,16 @@ class TestNormalizerWindow:
         # every 1 / Gamma(1e308 + k) underflows: log Z is about -7e310
         with pytest.raises(DomainError, match="normalizer"):
             new_wright_poisson(1.0, 1e308, 2.0)
+
+    @pytest.mark.parametrize("alpha", [3e307, sys.float_info.max])
+    def test_alpha_k_past_the_float_range_inside_the_window(self, alpha):
+        # alpha k overflows inside the window, where the terms are 0; numpy's
+        # overflow warning, an error under this suite's filter, stays off
+        d = new_wright_poisson(alpha, 1.0, 1.0)
+        assert d.log_normalizer == 0.0 and d.support_pmf().tolist() == [1.0]
+        assert d.log_pmf(20) == -math.inf
+        assert d.mean_series() == 0.0
+        assert d.mgf(0.5) == 1.0
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_gamma_overflow_after_the_first_term(self):
@@ -759,7 +778,7 @@ class TestTableReads:
         monkeypatch.setattr(distribution.sc, "gammaln", forbidden)
         assert [[query(x) for x in xs] for query, xs in queries] == want
         with pytest.raises(AssertionError, match="called numpy"):
-            d.log_pmf(size)  # past the table, the direct formula
+            d.log_pmf(len(d._log_pmf_list))  # past the window, the direct formula
 
     @pytest.mark.parametrize("a, b, m", [(0.793, 1.431, 19.0), (0.1, 0.1, 0.5), (10.0, 0.1, 200.0)])
     def test_past_the_table_sets_no_floating_point_state(self, monkeypatch, a, b, m):
@@ -841,13 +860,30 @@ class TestGuideTable:
 
 
 class TestPastTheTable:
-    """Past the table, log_pmf reads one block of the next R + _LOOKAHEAD
-    log-terms, built on first use; past the block, the scalar formula."""
+    """Past the table, log_pmf and pmf read the window [0, K) that
+    construction summed; past the window, the scalar formula. expectation
+    reads the window and evaluates log-terms only from K."""
 
     @pytest.mark.parametrize("a, b, m", _TABLE_POINTS)
-    def test_block_is_the_direct_formula_in_one_gammaln_call(self, monkeypatch, a, b, m):
+    def test_window_past_the_table_is_the_direct_formula_with_no_gammaln_call(
+            self, monkeypatch, a, b, m):
         d = new_wright_poisson(a, b, m)
-        size = d.support_pmf().size
+        size, window = d.support_pmf().size, len(d._log_pmf_list)
+        assert window > size
+        want = [r * math.log(m) - gammaln(a * r + b) - d.log_normalizer
+                for r in range(size, window)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a query inside the window called gammaln")
+
+        monkeypatch.setattr(distribution.sc, "gammaln", forbidden)
+        assert [d.log_pmf(r) for r in range(size, window)] == want
+        assert [d.pmf(r) for r in range(size, window)] == [math.exp(x) for x in want]
+
+    @pytest.mark.parametrize("a, b, m", _TABLE_POINTS)
+    def test_past_the_window_one_scalar_gammaln_call_per_query(self, monkeypatch, a, b, m):
+        d = new_wright_poisson(a, b, m)
+        window = len(d._log_pmf_list)
         calls = []
 
         def counted(x):
@@ -855,16 +891,41 @@ class TestPastTheTable:
             return gammaln(x)
 
         monkeypatch.setattr(distribution.sc, "gammaln", counted)
-        for r in range(size, 3 * size + 65):
-            assert d.log_pmf(r) == r * math.log(m) - gammaln(a * r + b) - d.log_normalizer, r
-            if r == 2 * size + distribution._LOOKAHEAD - 1:
-                assert calls == [size + distribution._LOOKAHEAD]
-        assert calls[1:] == [1] * (size + 65 - distribution._LOOKAHEAD)
+        rs = range(window, 4 * window + 64)
+        want = [r * math.log(m) - gammaln(a * r + b) - d.log_normalizer for r in rs]
+        assert [d.log_pmf(r) for r in rs] == want
+        assert [d.pmf(r) for r in rs] == [math.exp(x) for x in want]
+        assert calls == [1] * (2 * len(rs))
 
-    def test_no_block_where_alpha_r_overflows(self):
-        # alpha * 17 overflows a float, so numpy would warn; the table has
-        # one entry and the scalar formula answers every r past it
+    @pytest.mark.parametrize("a, b, m", [(0.793, 1.431, 19.0), (0.5, 0.5, 5.0), (1.0, 1.0, 200.0)])
+    def test_series_moments_evaluate_no_log_term(self, monkeypatch, a, b, m):
+        d = new_wright_poisson(a, b, m)
+        want = d.mean_series(), d.second_moment_series()
+
+        def forbidden(*args):
+            raise AssertionError("a series moment evaluated a log-term the window holds")
+
+        monkeypatch.setattr(distribution, "_log_terms", forbidden)
+        assert (d.mean_series(), d.second_moment_series()) == want
+
+    @pytest.mark.parametrize("a, b, m", [(0.793, 1.431, 19.0), (0.5, 0.5, 5.0), (1.0, 1.0, 200.0)])
+    def test_growing_weight_starts_its_first_chunk_at_the_window_end(self, monkeypatch, a, b, m):
+        d = new_wright_poisson(a, b, m)
+        firsts = []
+        original = distribution._log_terms
+
+        def recording(alpha, beta, log_m, r):
+            firsts.append(int(r[0]))
+            return original(alpha, beta, log_m, r)
+
+        monkeypatch.setattr(distribution, "_log_terms", recording)
+        d.expectation(lambda r: math.exp(0.5 * r))
+        assert firsts[:1] == [len(d._log_pmf_list)]
+        assert firsts[0] > d.support_pmf().size
+
+    def test_formula_where_alpha_r_overflows(self):
+        # alpha * 17 overflows a float; the table has one entry and the
+        # scalar formula answers every r past the window
         d = new_wright_poisson(1.1e307, 1.0, 1.0)
         assert d.support_pmf().size == 1
         assert d.log_pmf(17) == -math.inf
-        assert d._log_pmf_block == []

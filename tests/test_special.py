@@ -359,6 +359,26 @@ class TestSeriesControl:
                 checked.add(name)
         assert {"new_wright_poisson", "log_likelihood", "fit_m", "fit_full"} <= checked
 
+    @pytest.mark.parametrize("ctrl, name", [(None, "NoneType"), ("x", "str")])
+    def test_public_callables_take_only_a_control(self, ctrl, name):
+        data = wright_poisson.CountData.from_counts([0, 1, 2, 3])
+        spec = WrightSpec([(1.0, 1.0)], [(1.0, 1.0)], 0.5)
+        # every other argument valid, passed by position before ctrl
+        others = {"wright_series": (spec,), "mittag_leffler": (1.0, 0.5),
+                  "mittag_leffler2": (1.0, 1.0, 0.5), "mittag_leffler3": (1.0, 1.0, 1.0, 0.5),
+                  "new_wright_poisson": (1.0, 1.0, 1.0), "log_likelihood": (data, 1.0, 1.0, 1.0),
+                  "fit_m": (data, 1.0, 1.0), "fit_full": (data,)}
+        checked = set()
+        for public in wright_poisson.__all__:
+            obj = getattr(wright_poisson, public)
+            if isinstance(obj, type) or not callable(obj):
+                continue
+            if "ctrl" in inspect.signature(obj).parameters:
+                with pytest.raises(DomainError, match=f"^ctrl must be a SeriesControl, got {name}$"):
+                    obj(*others[public], ctrl)
+                checked.add(public)
+        assert checked == set(others)
+
     @pytest.mark.parametrize("max_terms", [100.5, 7, 0, -1, True, "100", None])
     def test_max_terms_must_be_an_integer_of_at_least_8(self, max_terms):
         with pytest.raises(DomainError, match=re.escape(f"max_terms must be an integer >= 8, got {max_terms!r}")):

@@ -7,7 +7,8 @@ Each tree is imported in a subprocess of its own (``PYTHONPATH=<tree>``),
 which evaluates one fixed, seeded design and writes one JSON line per
 record: an id, a kind and the ``repr`` of the answer, or the type and
 message of the exception it raised. The kinds are the support table, the
-scalar queries, ``mgf``, ``moment_report``, the series functions at z of
+scalar queries, ``mgf``, ``moment_report``, ``expectation`` of a falling
+and a growing weight, the series functions at z of
 both signs, ``fit_m``, ``log_likelihood``, ``fit_full`` and the typed
 errors of arguments outside the domain. The two files are then diffed:
 changed records are counted by kind, and a change from a value or an
@@ -15,9 +16,9 @@ untyped exception to a ``DomainError`` is counted as newly typed. The
 Python, numpy and scipy versions of each subprocess are printed.
 
 The design depends only on its seed and size, not on the code under test,
-and reads nothing from the network. ``small`` (945 records) runs in about
-a second per tree, ``full`` (9805 records, the default) in a few seconds
-and ``large`` (about 326 000 records) in about half a minute. The exit status is
+and reads nothing from the network. ``small`` (1065 records) runs in about
+a second per tree, ``full`` (11 941 records, the default) in a few seconds
+and ``large`` (about 400 000 records) in about half a minute. The exit status is
 0 when every record matches and 1 otherwise.
 
 ``--time`` times the bench's ``fit`` and ``query_hot`` ops (from
@@ -106,6 +107,12 @@ def _records(design):
             yield f"log_pmf|{at}|r={r}", "query", _outcome(lambda: d.log_pmf(r))
             yield f"pmf|{at}|r={r}", "query", _outcome(lambda: d.pmf(r))
             yield f"cdf|{at}|r={r}", "query", _outcome(lambda: d.cdf(r))
+        # past the table, on both sides of end + 16 and 2 end + 16, where
+        # past-table reads may change from one stored tier to the next, and
+        # far past both, where only the formula answers
+        for r in sorted({end + 15, end + 16, 2 * end + 15, 2 * end + 16, 4 * end + 64}):
+            yield f"log_pmf|{at}|r={r}", "query", _outcome(lambda: d.log_pmf(r))
+            yield f"pmf|{at}|r={r}", "query", _outcome(lambda: d.pmf(r))
         for r in (0, end // 2):
             yield (f"pmf_recurrence_step|{at}|r={r}", "query",
                    _outcome(lambda: d.pmf_recurrence_step(r, d.pmf(r))))
@@ -115,6 +122,9 @@ def _records(design):
         for t in (-2.0, -0.1, 0.0, 0.5, 1.0):
             yield f"mgf|{at}|t={t}", "mgf", _outcome(lambda: d.mgf(t))
         yield f"moment_report|{at}", "moment_report", _outcome(d.moment_report)
+        for label, weight in (("exp(-r)", lambda r: math.exp(-r)),
+                              ("exp(0.5r)", lambda r: math.exp(0.5 * r))):
+            yield f"expectation|{at}|{label}", "expectation", _outcome(lambda: d.expectation(weight))
         for z in (m, -m, 0.5, -3.0):
             yield (f"mittag_leffler2|{at}|z={z}", "series",
                    _outcome(lambda: wp.mittag_leffler2(a, b, z)))
