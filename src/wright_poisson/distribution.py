@@ -55,6 +55,7 @@ from .special import (
     _as_float,
     _control,
     _finite,
+    _normalizer_beta,
     _positive_real,
     exp_saturating,
     NonConvergenceError,
@@ -409,14 +410,8 @@ class WrightPoisson:
         m2_s = self.second_moment_series()
         m2_i = self.second_moment_closed_i()
         m2_ii = self.second_moment_closed_ii()
-        spread = max(
-            abs(mean_s - mean_i),
-            abs(mean_s - mean_ii),
-            abs(mean_i - mean_ii),
-            abs(m2_s - m2_i),
-            abs(m2_s - m2_ii),
-            abs(m2_i - m2_ii),
-        )
+        means, m2s = (mean_s, mean_i, mean_ii), (m2_s, m2_i, m2_ii)
+        spread = max(max(means) - min(means), max(m2s) - min(m2s))
         return MomentReport(
             mean_series=mean_s,
             mean_closed_i=mean_i,
@@ -493,7 +488,7 @@ def new_wright_poisson(
 ) -> WrightPoisson:
     """Validate parameters; build the log-normalizer and the support table."""
     alpha = _positive_real("alpha", alpha)
-    beta = _positive_real("beta", beta)
+    beta = _normalizer_beta(beta)
     m = _positive_real("m", m)
     ctrl = _control(ctrl)
     # the window reaches far enough below the peak for the table's end rule

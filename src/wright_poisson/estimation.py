@@ -6,9 +6,10 @@ safeguarded Halley steps in log m from a start at the mean; the shape
 (alpha, beta) by L-BFGS-B on the profile likelihood, whose gradient is
 exact at the fitted rate. Both take log Z, the log-terms and their
 weights from windows of series terms (the distribution's kernel, without
-its support table), so a fit builds no distribution: the rate fit takes
-the first three cumulants from the weights, with one exponential pass per
-step, and reads its log-likelihood off the last window's log-terms.
+its support table), so a fit builds no distribution: the rate fit sums one
+window per step, takes the first three cumulants from its weights with one
+exponential pass, and stops at a window, whose rate it returns and whose
+log-terms give its log-likelihood.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .special import (
     _DEFAULT_CTRL,
     _LOG_FLOAT_MAX,
     _control,
+    _normalizer_beta,
     _positive_real,
     mittag_leffler2,
     sc,
@@ -55,7 +57,7 @@ _FTOL = 1e-15  # L-BFGS-B's tolerance on -ll: small, so the gradient ends the se
 _GRAD_TOL = 1e-8  # on the gradient: per observation and relative to its observed part
 # largest change of log m in one step of fit_m, and its stop tolerance
 _MAX_STEP = 2.0
-_THETA_TOL = 1e-10
+_THETA_TOL = 1e-12
 _MAX_ITER = 200
 
 
@@ -247,7 +249,7 @@ def log_likelihood(
     observed counts."""
     data = _count_data(data)
     alpha = _positive_real("alpha", alpha)
-    beta = _positive_real("beta", beta)
+    beta = _normalizer_beta(beta)
     m = _positive_real("m", m)
     norm = mittag_leffler2(alpha, beta, m, ctrl)
     return _log_likelihood(data, alpha, beta, math.log(m), norm.log_value)
@@ -272,20 +274,23 @@ def fit_m(
     m = e^theta and is the Halley step -2 g g' / (2 g'^2 - g g''), or the
     Newton step -g / g' where that denominator is not above g'^2; it is
     capped at _MAX_STEP and narrows a bracket of the root, and a step out
-    of the bracket becomes a bisection. A root below M_FLOOR (or an
-    all-zero sample) gives M_FLOOR, unconverged. The log-likelihood is the
-    counts' histogram times the log-terms of one more window, at m-hat,
-    less n log Z, or, if the largest count lies past that window, the sum
-    over the distinct counts. ``iterations`` counts the steps.
+    of the bracket becomes a bisection. The search stops before stepping
+    once the step or the bracket is within _THETA_TOL, and m-hat is the
+    rate of the window it stops at; a root below M_FLOOR (or an all-zero
+    sample, whose search starts there) gives M_FLOOR, unconverged. The
+    log-likelihood is the counts' histogram times that window's log-terms,
+    less n log Z, or, if the largest count lies past the window, the sum
+    over the distinct counts. ``iterations`` counts the steps, one fewer
+    than the windows.
     """
     if _count_data(data).n < 1:
         raise DomainError("need at least one observation")
     alpha = _positive_real("alpha", alpha)
-    beta = _positive_real("beta", beta)
+    beta = _normalizer_beta(beta)
     ctrl = _control(ctrl)
 
     floor = math.log(M_FLOOR)
-    m_hat, converged, iters = M_FLOOR, False, 0  # an all-zero sample
+    target, theta = -math.inf, floor  # an all-zero sample, whose root no rate reaches
     if data.sum:
         target = math.log(data.mean)
         # start at the mean, which lies about 1/(2 alpha) past the peak of
@@ -299,53 +304,51 @@ def fit_m(
             if two_terms + lg1 - float(sc.gammaln(2.0 * alpha + beta)) < math.log(0.5):
                 theta = max(theta, two_terms)
         theta = max(theta, floor)
-        lo, hi = -math.inf, math.inf
-        for iters in range(1, _MAX_ITER + 1):
-            if theta > _LOG_FLOAT_MAX:
-                raise NonConvergenceError("the rate matching the sample mean overflows")
-            _, k, _, w, w_sum = _window(alpha, beta, theta, ctrl)
-            mean = float(k @ w) / w_sum
-            dev = k - mean
-            dev_w = dev * w
-            var = float(dev @ dev_w) / w_sum
-            gap = target - math.log(mean) if mean > 0.0 else math.inf
-            if gap <= 0.0 and theta <= floor:
-                break  # the root lies below the floor
-            if gap > 0.0:
-                lo = theta
-            else:
-                hi = theta
-            if var > 0.0:
-                # g = -gap has slope g' = Var / E and curvature g'' = k3 / E - g'^2
-                slope = var / mean
-                curv = float((dev * dev) @ dev_w) / (w_sum * mean) - slope * slope
-                den = 2.0 * slope * slope + gap * curv
-                # where den <= g'^2 Halley would more than double the Newton step
-                step = 2.0 * gap * slope / den if den > slope * slope else gap / slope
-            else:
-                step = math.copysign(_MAX_STEP, gap)
-            nxt = theta + min(max(step, -_MAX_STEP), _MAX_STEP)
-            if not lo <= nxt <= hi:
-                nxt = 0.5 * (lo + hi)
-            nxt = max(nxt, floor)
-            done = abs(nxt - theta) <= _THETA_TOL or hi - lo <= _THETA_TOL
-            theta = nxt
-            if done:
-                m_hat, converged = math.exp(theta), True
-                break
+    lo, hi = -math.inf, math.inf
+    converged = False
+    for iters in range(_MAX_ITER + 1):
+        if theta > _LOG_FLOAT_MAX:
+            raise NonConvergenceError("the rate matching the sample mean overflows")
+        log_z, k, lt, w, w_sum = _window(alpha, beta, theta, ctrl)
+        mean = float(k @ w) / w_sum
+        dev = k - mean
+        dev_w = dev * w
+        var = float(dev @ dev_w) / w_sum
+        gap = target - math.log(mean) if mean > 0.0 else math.inf
+        if theta <= floor and (gap <= 0.0 or not data.sum):
+            break  # the root lies below the floor, or an all-zero sample has none
+        if gap > 0.0:
+            lo = theta
         else:
-            raise NonConvergenceError(f"rate fit took more than {_MAX_ITER} steps")
-    log_m = math.log(m_hat)
-    log_z, _, lt, _, _ = _window(alpha, beta, log_m, ctrl)
+            hi = theta
+        if var > 0.0:
+            # g = -gap has slope g' = Var / E and curvature g'' = k3 / E - g'^2
+            slope = var / mean
+            curv = float((dev * dev) @ dev_w) / (w_sum * mean) - slope * slope
+            den = 2.0 * slope * slope + gap * curv
+            # where den <= g'^2 Halley would more than double the Newton step
+            step = 2.0 * gap * slope / den if den > slope * slope else gap / slope
+        else:
+            step = math.copysign(_MAX_STEP, gap)
+        nxt = theta + min(max(step, -_MAX_STEP), _MAX_STEP)
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * (lo + hi)
+        nxt = max(nxt, floor)
+        if abs(nxt - theta) <= _THETA_TOL or hi - lo <= _THETA_TOL:
+            converged = True
+            break
+        theta = nxt
+    else:
+        raise NonConvergenceError(f"rate fit took more than {_MAX_ITER} steps")
     top = data.max_count
     if top < lt.size:  # sum h_r log pmf(r), h the counts' frequencies
         ll = float(data.frequencies @ lt[:top + 1]) - data.n * log_z
     else:
-        ll = _log_likelihood(data, alpha, beta, log_m, log_z)
+        ll = _log_likelihood(data, alpha, beta, theta, log_z)
     return FitResult(
         alpha=alpha,
         beta=beta,
-        m=float(m_hat),
+        m=math.exp(theta) if theta > floor else M_FLOOR,
         log_likelihood=ll,
         iterations=iters,
         converged=converged,

@@ -17,8 +17,10 @@ real argument must be a ``numbers.Real`` (int, float, Fraction, a numpy
 scalar), or a DomainError names it. A str, None, complex, Decimal or 0-d
 array is not one, although float() would take some of them. ``_as_float``
 states the rule, ``_finite`` adds finiteness and ``_positive_real`` the
-model parameters' x > 0; ``_control`` takes a ``ctrl`` only as a
-SeriesControl. The distribution and the fits import them.
+model parameters' x > 0; ``_normalizer_beta`` bounds the law's beta where
+its log-terms lose more than 1e-9 to rounding; ``_control`` takes a
+``ctrl`` only as a SeriesControl. The distribution and the fits import
+them.
 
 The gamma ufuncs come from scipy's compiled ``_special_ufuncs`` module,
 loaded by file without importing the ``scipy`` package, with
@@ -167,6 +169,28 @@ def _positive_real(name: str, x) -> float:
     if not x > 0:
         raise DomainError(f"{name} must be > 0")
     return x
+
+
+# a log-term k log m - ln Gamma(alpha k + beta) carries a rounding error of
+# about eps ln Gamma(beta), and every log-pmf difference inherits it: past
+# this ln Gamma(beta) (beta above about 3.8e5) the error passes 1e-9
+_LOG_GAMMA_BETA_MAX = 1e-9 / sys.float_info.epsilon
+
+
+def _normalizer_beta(beta) -> float:
+    """beta as a float; the law's beta must be a model parameter small
+    enough that its log-terms keep their rounding below 1e-9."""
+    beta = _positive_real("beta", beta)
+    try:
+        log_gamma_beta = math.lgamma(beta)
+    except OverflowError:
+        log_gamma_beta = math.inf
+    if abs(log_gamma_beta) > _LOG_GAMMA_BETA_MAX:
+        raise DomainError(
+            f"beta = {beta!r} is too large: past about 3.8e5 the normalizer's log-terms"
+            " lose more than 1e-9 to rounding"
+        )
+    return beta
 
 
 def _is_gamma_pole(x):

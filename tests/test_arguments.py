@@ -109,3 +109,17 @@ def test_term_index_must_be_a_nonnegative_integer(call, name, value):
 def test_integer_term_index_gives_the_float_answer(k):
     assert wright_term(_SPEC, k) == wright_term(_SPEC, int(k))
     assert _D.pmf_recurrence_step(k, 0.1) == _D.pmf_recurrence_step(int(k), 0.1)
+
+
+@pytest.mark.parametrize("beta", [1e6, 1e20, 1e308])
+@pytest.mark.parametrize(
+    "call",
+    [lambda b: new_wright_poisson(1.0, b, 1.0), lambda b: fit_m(_DATA, 1.0, b),
+     lambda b: log_likelihood(_DATA, 1.0, b, 1.0)],
+    ids=["new_wright_poisson", "fit_m", "log_likelihood"],
+)
+def test_beta_past_the_normalizer_rounding_bound_is_a_domain_error(call, beta):
+    # the log-terms carry eps ln Gamma(beta) of rounding: 2.5 nats at 1e15
+    # used to be returned without an error; lgamma(1e308) overflows
+    with pytest.raises(DomainError, match=r"^beta = .* normalizer"):
+        call(beta)

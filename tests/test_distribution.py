@@ -3,6 +3,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -535,7 +536,15 @@ class TestNormalizerWindow:
         assert d.mean_series() == 0.0
         assert d.mgf(0.5) == 1.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("m", [1.0, 1e3])
+    def test_log_pmf_ratios_at_the_largest_beta(self, m):
+        # eps ln Gamma(3e5) = 7.7e-10 bounds the log-terms' rounding
+        d = new_wright_poisson(1.0, 3e5, m)
+        with mpmath.workdps(40):
+            for r in range(1, 6):
+                ref = r * mpmath.log(m) - mpmath.loggamma(3e5 + r) + mpmath.loggamma(3e5)
+                assert abs(d.log_pmf(r) - d.log_pmf(0) - float(ref)) <= 1e-9
+
     def test_gamma_overflow_after_the_first_term(self):
         # Gamma(alpha k + 1) overflows for k >= 1: Z = 1 + 2 / inf
         d = new_wright_poisson(1e308, 1.0, 2.0)
