@@ -101,7 +101,10 @@ def _ctrl_from(args) -> SeriesControl:
     rel_tol = args.rel_tol
     if rel_tol is None:
         env = os.environ.get(ENV_REL_TOL)
-        rel_tol = float(env) if env else _DEFAULT_CTRL.rel_tol
+        try:
+            rel_tol = float(env) if env else _DEFAULT_CTRL.rel_tol
+        except ValueError:
+            raise DomainError(f"{ENV_REL_TOL} must be a number, got {env!r}") from None
     return SeriesControl(rel_tol=rel_tol, max_terms=args.max_terms)
 
 

@@ -7,7 +7,7 @@ recovers the classical Poisson law.
 
 Construction evaluates the log-terms k log m - ln Gamma(alpha k + beta)
 once, over a window [0, K) sized once from their peak, and takes both log Z
-(their log-sum-exp) and the log-pmf/pmf/cdf table (the same array,
+(their log-sum-exp) and the log-pmf/pmf/cdf table (the same log-terms,
 normalized) from it. The terms are log-concave, so their ratios fall, and the
 terms past any point sum to at most a geometric series in the last ratio
 before it. One formula states that bound: a window where it puts the mass
@@ -17,18 +17,22 @@ _TAIL_ATOL (or raises if that point is not inside the window).
 The windows come from one kernel, ``_window``, which returns log Z, the
 log-terms and their peak-scaled weights; the table, mgf (at log rate
 t + log m, so e^t m is never formed) and the rate fit each use one window.
-The distribution keeps the whole window: the log-pmf (as a list of Python
-floats) and the pmf over [0, K). The cdf, quantile, sample and support_pmf
-end at the table's end R, inside the window. log_pmf and pmf read the log-pmf list below K, and cdf and quantile
-read the cdf as a list, which they index or bisect without numpy's
-per-call cost, checking an int r or a float p by its exact type first;
-support_pmf copies the pmf array up to R. sample inverts the cdf through a
-guide table, built on its first call, whose buckets give each draw's index
-by one lookup and one comparison; only draws in buckets of two or more cdf
-points are searched. Only log_pmf, pmf and expectation past the window
-evaluate the log-terms: the first two by the scalar formula, expectation in
-chunks from K. Every pmf value is the exponential of its own log-pmf, so
-none depends on pmf(0), which underflows for large m.
+
+Every probability is math.exp of its own log-pmf, the rule pmf applies, so
+none depends on pmf(0), which underflows for large m, and every query that
+reads a probability agrees with pmf bit for bit. numpy's exp, which may
+round a value an ulp apart, serves only the kernel's peak-scaled weights.
+The distribution keeps the whole window as lists of Python floats: the
+log-pmf and the pmf over [0, K), and their running sum, the cdf, over the
+table [0, R), R < K. log_pmf and pmf read the log-pmf below K, and cdf and
+quantile read the cdf, which they index or bisect without numpy's per-call
+cost, checking an int r or a float p by its exact type first; support_pmf
+is the pmf up to R as an array. sample inverts the cdf through a guide
+table, built on its first call with an array of the cdf that it keeps for
+itself, whose buckets give each draw's index by one lookup and one
+comparison; only draws in buckets of two or more cdf points are searched.
+Only log_pmf, pmf and expectation past the window evaluate the log-terms:
+the first two by the scalar formula, expectation in chunks from K.
 
 Moments come in three flavors each: a brute-force series over the table's
 pmf, and two closed forms (Wright-series differences, and shifted
@@ -46,6 +50,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -167,12 +172,12 @@ def _log_tail(lt: np.ndarray) -> float:
     return _log_geometric_sum(float(lt[-1]) + log_rho, log_rho)
 
 
-def _table_end(lt: np.ndarray, cdf: np.ndarray, log_z: float) -> Optional[int]:
+def _table_end(lt: np.ndarray, cdf: list, log_z: float) -> Optional[int]:
     """Length R + 1 of the table over 0..R, where R is the first r whose cdf
     reaches the mass floor and past which the terms sum to below _TAIL_ATOL Z
     by the geometric sum from t[r+1], rho = t[r+1] / t[r]; None if no such r
     has t[r+1] among the window's log-terms lt."""
-    start = int(np.searchsorted(cdf, _mass_floor(log_z)))
+    start = bisect.bisect_left(cdf, _mass_floor(log_z))
     after = lt[start:]
     # rho >= 1 bounds nothing: its sum is inf or nan, never below the tolerance
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -218,8 +223,9 @@ def _window(alpha: float, beta: float, log_m: float, ctrl: SeriesControl):
 class WrightPoisson:
     """Validated parameters, the log-normalizer, and the log-pmf and pmf
     over the window [0, K) that sums it; the cdf over the support table
-    [0, R), R < K. The log-pmf and the cdf also as lists of Python floats,
-    for the scalar queries.
+    [0, R), R < K. All three are lists of Python floats, for the scalar
+    queries; each pmf value is math.exp of its log-pmf, as pmf computes it,
+    and the cdf is their running sum.
 
     Immutable; build through :func:`new_wright_poisson`.
     """
@@ -229,8 +235,7 @@ class WrightPoisson:
     m: float
     log_normalizer: float
     ctrl: SeriesControl
-    _pmf: np.ndarray = field(repr=False, compare=False)
-    _cdf: np.ndarray = field(repr=False, compare=False)
+    _pmf: list = field(repr=False, compare=False)
     _log_pmf_list: list = field(repr=False, compare=False)
     _cdf_list: list = field(repr=False, compare=False)
 
@@ -307,16 +312,18 @@ class WrightPoisson:
     # -- support table ------------------------------------------------
 
     def support_pmf(self) -> np.ndarray:
-        """pmf values 0..R, where R is the table's end: the first r whose cdf
-        reaches 1 - _MASS_TOL (less an ulp of log Z) and past which the tail
-        bound puts less than _TAIL_ATOL of the mass."""
-        return self._pmf[: self._cdf.size].copy()
+        """pmf values 0..R as an array, each equal to pmf(r), where R is the
+        table's end: the first r whose cdf reaches 1 - _MASS_TOL (less an ulp
+        of log Z) and past which the tail bound puts less than _TAIL_ATOL of
+        the mass."""
+        return np.array(self._pmf[: len(self._cdf_list)])
 
     def expectation(self, weight: Callable[[int], float]) -> float:
         """sum_r weight(r) * pmf(r), stopped once the cumulative mass is
         complete and the last window of contributions is negligible.
 
-        The pmf is read from the window and doubled past its end.
+        The pmf is read from the window and doubled past its end, each
+        term by pmf's rule, so the terms are pmf(r) bit for bit.
         The window guard matters for growing weights like e^{tr}: the
         sum continues well past the mass cutoff until the weighted
         contributions themselves die out.
@@ -327,10 +334,10 @@ class WrightPoisson:
         mass = 0.0
         window: deque = deque(maxlen=_LOOKAHEAD)
         for r in range(self.ctrl.max_terms + 1):
-            if r == pmf.size:  # past the window: evaluate the next r terms
+            if r == len(pmf):  # past the window: evaluate the next r terms
                 lt = _log_terms(self.alpha, self.beta, math.log(self.m), np.arange(r, 2 * r))
-                pmf = np.append(pmf, np.exp(lt - self.log_normalizer))
-            p = float(pmf[r])
+                pmf = pmf + list(map(math.exp, (lt - self.log_normalizer).tolist()))
+            p = pmf[r]
             c = weight(r) * p
             partial += c
             mass += p
@@ -448,8 +455,9 @@ class WrightPoisson:
         one, +inf where it holds none or lo is the last support point.
         For u in bucket j, every cdf point below j/B lies below u and none
         past the bucket does, so lo + (threshold < u) is the clamped left
-        search of u; only the marked buckets need the search itself."""
-        cdf = self._cdf
+        search of u; only the marked buckets need the search itself. The
+        cdf as an array comes with the buckets, for that search."""
+        cdf = np.array(self._cdf_list)
         buckets = 1 << max(cdf.size * _GUIDE_PER_POINT - 1, _GUIDE_MIN - 1).bit_length()
         held = np.bincount((cdf[cdf < 1.0] * buckets).astype(np.intp), minlength=buckets)
         lo = np.cumsum(held) - held
@@ -458,21 +466,21 @@ class WrightPoisson:
         thr[one] = cdf[lo[one]]
         base = np.minimum(lo, cdf.size - 1).astype(np.int64)
         base[held > 1] = -1
-        return base, thr
+        return base, thr, cdf
 
     def _search(self, u: np.ndarray) -> np.ndarray:
         """The left search of each u in [0, 1) in the cdf, clamped to the
         last support point, as int64: bucket j = floor(u B) gives it
         without a branch per draw, and only draws in marked buckets are
         searched."""
-        base, thr = self._guide
+        base, thr, cdf = self._guide
         j = (u * base.size).astype(np.intp)
         values = base[j] + (thr[j] < u)
         if values.min() < 0:  # draws in buckets of two or more cdf points
             miss = values < 0
-            found = self._cdf.searchsorted(u[miss], side="left")
+            found = cdf.searchsorted(u[miss], side="left")
             # u above the tabulated mass clamps to the last support point
-            values[miss] = np.minimum(found, self._cdf.size - 1)
+            values[miss] = np.minimum(found, cdf.size - 1)
         return values
 
     def sample(self, n: int, seed: int) -> SampleBatch:
@@ -493,14 +501,13 @@ def new_wright_poisson(
     ctrl = _control(ctrl)
     # the window reaches far enough below the peak for the table's end rule
     log_z, _, lt, _, _ = _window(alpha, beta, math.log(m), ctrl)
-    log_pmf = lt - log_z
-    pmf = np.exp(log_pmf)
-    cdf = np.cumsum(pmf)
+    log_pmf = (lt - log_z).tolist()
+    pmf = list(map(math.exp, log_pmf))  # pmf's own rule, value for value
+    cdf = list(accumulate(pmf))
     end = _table_end(lt, cdf, log_z)
     if end is None:
         raise NonConvergenceError(
             f"the support table's end rule does not hold within its window of {lt.size} terms"
             f" (max_terms = {ctrl.max_terms})"
         )
-    cdf = cdf[:end]
-    return WrightPoisson(alpha, beta, m, log_z, ctrl, pmf, cdf, log_pmf.tolist(), cdf.tolist())
+    return WrightPoisson(alpha, beta, m, log_z, ctrl, pmf, log_pmf, cdf[:end])

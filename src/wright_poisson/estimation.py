@@ -174,8 +174,9 @@ def _parse_int(token: str, lineno: int) -> int:
 
 def load_counts(path: str, column: Optional[Union[str, int]] = None) -> CountData:
     """Read counts from plain text (one integer per line) or delimited
-    text with a header; delimiter auto-detected among comma/tab."""
-    with open(path, "r", encoding="utf-8") as fh:
+    text with a header; delimiter auto-detected among comma/tab. A UTF-8
+    byte-order mark, as spreadsheet exports write, is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     lines = [ln for ln in text.splitlines()]
     stripped = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]

@@ -1,7 +1,8 @@
 """Closed forms of the normalizer Z = E_{alpha,beta}(m) = sum_k m^k /
 Gamma(alpha k + beta) for four families, in log space, at O(1) cost for any
-rate (Haubold, Mathai & Saxena, J. Appl. Math. 2011, 298628), and the mean
-of the alpha = 1 law. A test oracle: it imports no library code.
+rate (Haubold, Mathai & Saxena, J. Appl. Math. 2011, 298628), the log-pmf
+they give, and the mean of the alpha = 1 law. A test oracle: it imports no
+library code.
 
 - alpha = beta = 1: Z = e^m, the Poisson law;
 - alpha = 1, beta > 1 (the hyper-Poisson law of Bardwell & Crow, JASA 59
@@ -46,6 +47,12 @@ def log_normalizer(alpha, beta, m):
     if alpha == 0.5 and beta == 1.0:
         return m * m + math.log(math.erfc(-m))
     raise ValueError(f"no closed form at alpha = {alpha}, beta = {beta}")
+
+
+def log_pmf(alpha, beta, m, r):
+    """log pmf(r) = r log m - ln Gamma(alpha r + beta) - log Z, in the four
+    families."""
+    return r * math.log(m) - math.lgamma(alpha * r + beta) - log_normalizer(alpha, beta, m)
 
 
 def mean_alpha_1(beta, m):

@@ -1,7 +1,10 @@
 """tools/ab.py: the answers of this tree, against themselves, on the small
 design; one subprocess per side, so the records are also reproducible
-across interpreters. And the format of its timing report."""
+across interpreters; that it writes each id once. And the format of its
+timing report."""
 
+import json
+import os
 import pathlib
 import re
 import subprocess
@@ -18,6 +21,16 @@ def test_small_design_of_this_tree_matches_itself():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "; changed: 0 (0 newly typed errors, 0 other)" in proc.stdout.splitlines()[-1]
+
+
+def test_small_design_writes_each_id_once():
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "tools" / "ab.py"), "--emit", "small"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(_ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    ids = [json.loads(line)["id"] for line in proc.stdout.splitlines()[1:]]
+    assert len(ids) == len(set(ids)) == 1115
 
 
 def test_timing_of_this_tree_against_itself_prints_every_figure():

@@ -447,6 +447,13 @@ class TestGlobalBehavior:
             math.exp(-1.0), rel=1e-13
         )
 
+    def test_env_var_tolerance_not_a_number_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_REL_TOL, "abc")
+        code, out, err = run(capsys, "pmf", "--alpha", "1", "--beta", "1", "--m", "1",
+                             "--r-max", "0")
+        assert code == 2 and out == ""
+        assert err == "error: WRIGHT_POISSON_REL_TOL must be a number, got 'abc'\n"
+
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code, out, _ = run(

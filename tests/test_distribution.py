@@ -938,3 +938,39 @@ class TestPastTheTable:
         d = new_wright_poisson(1.1e307, 1.0, 1.0)
         assert d.support_pmf().size == 1
         assert d.log_pmf(17) == -math.inf
+
+
+class TestOneExponentialRule:
+    """Every probability the distribution reads is pmf(r), math.exp of its
+    own log-pmf: the table, the cdf as its in-order running sum, and every
+    term expectation sums, inside the window and past it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=_log_uniform(*SHAPE_BOX), b=_log_uniform(*SHAPE_BOX), m=_log_uniform(0.01, 200.0))
+    # expectation of e^{r/2} runs past the window here (see TestPastTheTable)
+    @example(a=0.793, b=1.431, m=19.0)
+    def test_table_cdf_and_expectation_read_pmf(self, a, b, m):
+        try:
+            d = new_wright_poisson(a, b, m)
+        except NonConvergenceError:  # the terms peak past max_terms
+            assume(False)
+        size = d.support_pmf().size
+        pmf = [d.pmf(r) for r in range(size)]
+        assert d.support_pmf().tolist() == pmf
+        assert [d.cdf(r) for r in range(size)] == list(itertools.accumulate(pmf))
+
+        visited = []
+
+        def weight(r):
+            visited.append((r, math.exp(0.5 * r)))
+            return visited[-1][1]
+
+        try:
+            got = d.expectation(weight)
+        except (NonConvergenceError, OverflowError):  # e^{r/2} outgrows the law
+            assume(False)
+        assert [r for r, _ in visited] == list(range(len(visited)))
+        want = 0.0
+        for r, w in visited:
+            want += w * d.pmf(r)
+        assert got == want

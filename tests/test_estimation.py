@@ -89,6 +89,17 @@ class TestLoadCounts:
         data = load_counts(str(f), column=1)
         assert data.counts.tolist() == [4, 6]
 
+    def test_byte_order_mark_before_plain_lines(self, tmp_path):
+        f = tmp_path / "counts.txt"
+        f.write_text("\ufeff3\n1\n", encoding="utf-8")
+        assert load_counts(str(f)).counts.tolist() == [3, 1]
+
+    def test_byte_order_mark_before_csv_header(self, tmp_path):
+        # a spreadsheet's UTF-8 export puts the mark before the first column name
+        f = tmp_path / "data.csv"
+        f.write_text("\ufeffcount,x\n3,a\n0,b\n", encoding="utf-8")
+        assert load_counts(str(f), column="count").counts.tolist() == [3, 0]
+
 
 class TestCountData:
     def test_integral_floats_accepted(self):

@@ -127,7 +127,7 @@ def _records(design):
         for label, weight in (("exp(-r)", lambda r: math.exp(-r)),
                               ("exp(0.5r)", lambda r: math.exp(0.5 * r))):
             yield f"expectation|{at}|{label}", "expectation", _outcome(lambda: d.expectation(weight))
-        for z in (m, -m, 0.5, -3.0):
+        for z in dict.fromkeys((m, -m, 0.5, -3.0)):  # distinct, so every id is written once
             yield (f"mittag_leffler2|{at}|z={z}", "series",
                    _outcome(lambda: wp.mittag_leffler2(a, b, z)))
             yield (f"mittag_leffler3|{at}|z={z}", "series",
