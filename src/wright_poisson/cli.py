@@ -102,7 +102,9 @@ def _ctrl_from(args) -> SeriesControl:
     if rel_tol is None:
         env = os.environ.get(ENV_REL_TOL)
         try:
-            rel_tol = float(env) if env else _DEFAULT_CTRL.rel_tol
+            rel_tol = SeriesControl(rel_tol=float(env)).rel_tol if env else _DEFAULT_CTRL.rel_tol
+        except DomainError as exc:  # a number that the control's own rule rejects
+            raise DomainError(f"{ENV_REL_TOL}={env!r}: {exc}") from None
         except ValueError:
             raise DomainError(f"{ENV_REL_TOL} must be a number, got {env!r}") from None
     return SeriesControl(rel_tol=rel_tol, max_terms=args.max_terms)

@@ -26,7 +26,8 @@ The distribution keeps the whole window as lists of Python floats: the
 log-pmf and the pmf over [0, K), and their running sum, the cdf, over the
 table [0, R), R < K. log_pmf and pmf read the log-pmf below K, and cdf and
 quantile read the cdf, which they index or bisect without numpy's per-call
-cost, checking an int r or a float p by its exact type first; support_pmf
+cost. They check an int r or a float p by its exact type first; any other
+argument takes special's rule, then the query's own range test. support_pmf
 is the pmf up to R as an array. sample inverts the cdf through a guide
 table, built on its first call with an array of the cdf that it keeps for
 itself, whose buckets give each draw's index by one lookup and one
@@ -244,13 +245,9 @@ class WrightPoisson:
     def log_pmf(self, r: int) -> float:
         """Read from the window; past it, evaluated from the log-term."""
         if not (type(r) is int and r >= 0):
-            try:
-                # nan fails the sign test; inf % 1 is nan; a str, None or
-                # complex r fails the comparison itself
-                if not (r >= 0 and r % 1 == 0):
-                    raise TypeError
-            except TypeError:
-                raise DomainError(f"r must be a nonnegative integer, got {r!r}") from None
+            x = _as_float("r", r)
+            if not (x >= 0 and x % 1 == 0):  # nan fails the sign test; inf % 1 is nan
+                raise DomainError(f"r must be a nonnegative integer, got {r!r}")
             r = int(r)
         window = self._log_pmf_list
         if r < len(window):
@@ -284,25 +281,18 @@ class WrightPoisson:
     def cdf(self, r: int) -> float:
         """P(X <= r); past the end of the support table, its total mass."""
         if not (type(r) is int and r >= 0):
-            try:
-                # nan fails the sign test; an int too large for a float is
-                # finite; a str, None or complex r fails the comparison itself
-                if not (r >= 0 and r != math.inf):
-                    raise TypeError
-            except TypeError:
-                raise DomainError(f"r must be finite and nonnegative, got {r!r}") from None
+            x = _as_float("r", r)
+            if not (x >= 0 and x != math.inf):  # nan fails the sign test
+                raise DomainError(f"r must be finite and nonnegative, got {r!r}")
             r = int(r)
         cdf = self._cdf_list
         return cdf[r] if r < len(cdf) else cdf[-1]
 
     def quantile(self, p: float) -> int:
         if not (type(p) is float and 0.0 <= p < 1.0):
-            try:
-                # a str, None or complex p fails the comparison itself
-                if not (0.0 <= p < 1.0):
-                    raise TypeError
-            except TypeError:
-                raise DomainError("quantile requires p in [0, 1)") from None
+            p = _as_float("p", p)
+            if not (0.0 <= p < 1.0):
+                raise DomainError("quantile requires p in [0, 1)")
         cdf = self._cdf_list
         r = bisect.bisect_left(cdf, p)
         if r == len(cdf):

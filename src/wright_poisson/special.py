@@ -19,8 +19,8 @@ array is not one, although float() would take some of them. ``_as_float``
 states the rule, ``_finite`` adds finiteness and ``_positive_real`` the
 model parameters' x > 0; ``_normalizer_beta`` bounds the law's beta where
 its log-terms lose more than 1e-9 to rounding; ``_control`` takes a
-``ctrl`` only as a SeriesControl. The distribution and the fits import
-them.
+``ctrl`` only as a SeriesControl. The distribution, its scalar queries
+among them, and the fits import them, and no entry point is exempt.
 
 The gamma ufuncs come from scipy's compiled ``_special_ufuncs`` module,
 loaded by file without importing the ``scipy`` package, with
@@ -254,10 +254,7 @@ class SeriesResult:
 
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
-    x = _as_float("x", x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"log_gamma requires finite x > 0, got {x}")
-    return float(sc.gammaln(x))
+    return float(sc.gammaln(_positive_real("x", x)))
 
 
 def wright_convergence_index(spec: WrightSpec) -> float:
@@ -327,7 +324,10 @@ def _term_window(alpha: float, beta: float, log_z: float, drop: float) -> float:
     u; one Newton step from the Gaussian guess sqrt(2 drop / x), which lies
     below its root, lands at or above the root. The spread of the terms is
     about sqrt(k* / alpha). When the terms fall from k = 0, each step falls
-    at least as far as the first, which bounds the window too.
+    at least as far as the first, which bounds the window too. The first
+    fall is ln Gamma(alpha + beta) - ln Gamma(beta) - log z, at least
+    alpha psi(beta) - log z since psi increases; the difference cancels
+    once alpha + beta rounds to beta, and the bound does not.
     """
     x = max(min(exp_saturating(log_z / alpha), _PEAK_ARG_CAP) + 0.5, beta, 1.0)
     u = math.sqrt(2.0 * drop / x)
@@ -335,7 +335,8 @@ def _term_window(alpha: float, beta: float, log_z: float, drop: float) -> float:
     u += (drop / x - ((1.0 + u) * grow - u)) / grow
     end = ((x - beta) + u * x) / alpha + 1.0
     try:
-        first_fall = math.lgamma(alpha + beta) - math.lgamma(beta) - log_z
+        log_gamma_ratio = math.lgamma(alpha + beta) - math.lgamma(beta)
+        first_fall = max(log_gamma_ratio, alpha * float(sc.psi(beta))) - log_z
     except OverflowError:  # Gamma(alpha + beta) overflows: only k = 0 counts
         first_fall = math.inf
     if first_fall > 0.0:

@@ -7,7 +7,7 @@ library code.
 - alpha = beta = 1: Z = e^m, the Poisson law;
 - alpha = 1, beta > 1 (the hyper-Poisson law of Bardwell & Crow, JASA 59
   (1964) 133-141): Z = m^(1-beta) e^m P(beta-1, m), P the regularized lower
-  incomplete gamma function;
+  incomplete gamma function, summed as a series below m = beta;
 - alpha = 2: E_{2,1}(m) = cosh sqrt(m) and E_{2,2}(m) = sinh sqrt(m) / sqrt(m);
 - alpha = 1/2, beta = 1: Z = e^(m^2) erfc(-m).
 """
@@ -18,7 +18,17 @@ from scipy.special import gammainc, gammaincc
 
 
 def _log_p(a, m):
-    """log P(a, m); from the upper function Q = 1 - P where P is near 1."""
+    """log P(a, m). Below m = a + 1, from its own series
+    P = m^a e^-m / Gamma(a+1) * sum_n m^n / ((a+1)...(a+n)), whose terms fall
+    by m / (a+n) < 1 each, so the oracle does not rest on scipy's gammainc
+    there. Above it, from scipy's upper function Q = 1 - P where P is near 1."""
+    if m < a + 1.0:
+        term, total, n = 1.0, 1.0, 0
+        while term > 1e-17 * total:
+            n += 1
+            term *= m / (a + n)
+            total += term
+        return a * math.log(m) - m - math.lgamma(a + 1.0) + math.log(total)
     p = gammainc(a, m)
     return math.log1p(-gammaincc(a, m)) if p > 0.5 else math.log(p)
 

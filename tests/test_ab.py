@@ -30,7 +30,7 @@ def test_small_design_writes_each_id_once():
     )
     assert proc.returncode == 0, proc.stderr
     ids = [json.loads(line)["id"] for line in proc.stdout.splitlines()[1:]]
-    assert len(ids) == len(set(ids)) == 1115
+    assert len(ids) == len(set(ids)) == 1191
 
 
 def test_timing_of_this_tree_against_itself_prints_every_figure():

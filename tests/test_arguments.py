@@ -1,6 +1,7 @@
-"""One argument rule for every public entry point: an argument that is not
-a real number (numbers.Real), or not the CountData a fit takes, is a
-DomainError that names it, never a bare TypeError or a silent float()."""
+"""One argument rule for every public entry point, the scalar queries
+included: an argument that is not a real number (numbers.Real), or not the
+CountData a fit takes, is a DomainError that names it, never a bare
+TypeError or a silent float()."""
 
 import math
 import re
@@ -57,12 +58,10 @@ _ENTRY_POINTS = [
     ("pmf_recurrence_step-pmf_r", "pmf_r", lambda x: _D.pmf_recurrence_step(2, x), True),
     ("fit_m-alpha", "alpha", lambda x: fit_m(_DATA, x, 1.0), True),
     ("log_likelihood-m", "m", lambda x: log_likelihood(_DATA, 1.0, 1.0, x), True),
-    # these compare their argument and take a 0-d array or a Decimal
-    # that holds an accepted value
-    ("log_pmf", "r", lambda x: _D.log_pmf(x), False),
-    ("pmf", "r", lambda x: _D.pmf(x), False),
-    ("cdf", "r", lambda x: _D.cdf(x), False),
-    ("quantile", "p", lambda x: _D.quantile(x), False),
+    ("log_pmf", "r", lambda x: _D.log_pmf(x), True),
+    ("pmf", "r", lambda x: _D.pmf(x), True),
+    ("cdf", "r", lambda x: _D.cdf(x), True),
+    ("quantile", "p", lambda x: _D.quantile(x), True),
     ("fit_m-data", "data", lambda x: fit_m(x, 1.0, 1.0), False),
     ("fit_full-data", "data", lambda x: fit_full(x), False),
     ("log_likelihood-data", "data", lambda x: log_likelihood(x, 1.0, 1.0, 1.0), False),

@@ -454,6 +454,22 @@ class TestGlobalBehavior:
         assert code == 2 and out == ""
         assert err == "error: WRIGHT_POISSON_REL_TOL must be a number, got 'abc'\n"
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    def test_env_var_tolerance_out_of_range_names_the_variable(self, capsys, monkeypatch, value):
+        # the control's (0, 1) rule, reported against the variable that set it
+        monkeypatch.setenv(cli.ENV_REL_TOL, value)
+        code, out, err = run(capsys, "pmf", "--alpha", "1", "--beta", "1", "--m", "1",
+                             "--r-max", "0")
+        assert code == 2 and out == ""
+        assert err == f"error: WRIGHT_POISSON_REL_TOL={value!r}: rel_tol must be in (0, 1)\n"
+
+    def test_env_var_tolerance_does_not_take_the_blame_for_max_terms(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_REL_TOL, "1e-6")
+        code, _, err = run(capsys, "pmf", "--alpha", "1", "--beta", "1", "--m", "1",
+                           "--r-max", "0", "--max-terms", "3")
+        assert code == 2
+        assert err == "error: max_terms must be an integer >= 8, got 3\n"
+
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code, out, _ = run(

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import closed_forms
-from wright_poisson import CountData, fit_m, new_wright_poisson
+from wright_poisson import CountData, NonConvergenceError, fit_m, new_wright_poisson
 
 _FAMILIES = [(1.0, 1.0), (1.0, 1.5), (1.0, 3.7), (1.0, 10.0), (2.0, 1.0), (2.0, 2.0), (0.5, 1.0)]
 
@@ -53,16 +53,24 @@ class TestAgainstMpmath:
             ref = float(mpmath.fsum(k * t for k, t in enumerate(terms)) / mpmath.fsum(terms))
         assert closed_forms.mean_alpha_1(beta, m) == pytest.approx(ref, rel=1e-13)
 
+    @pytest.mark.parametrize("a", [0.5, 3.7, 9.0])
+    @pytest.mark.parametrize("x", [1e-3, 1.2e-3, 0.01])
+    def test_log_regularized_lower_gamma(self, a, x):
+        # the oracle's own series branch, below x = a + 1
+        with mpmath.workdps(40):
+            ref = float(mpmath.log(mpmath.gammainc(mpmath.mpf(a), 0, mpmath.mpf(x), regularized=True)))
+        assert closed_forms._log_p(a, x) == pytest.approx(ref, rel=1e-15)
+
     def test_other_shapes_have_no_closed_form(self):
         with pytest.raises(ValueError):
             closed_forms.log_normalizer(0.8, 1.2, 1.0)
 
 
 class TestLogNormalizer:
-    """The kernel's log Z at any rate from 0.01 up to the largest whose
-    window fits max_terms, within 1e-13 relative, and near log Z = 0 within
-    1e-14: scipy's incomplete gamma function carries a few ulps of 1 there
-    (below m = 0.01 at beta near 10, 1e-12 relative)."""
+    """The kernel's log Z at any rate from 0.01 (1e-3 at alpha = 1) up to the
+    largest whose window fits max_terms, within 1e-13 relative, and near
+    log Z = 0 within 1e-14: scipy's upper incomplete gamma function, which
+    the alpha = 1 oracle takes above m = beta, carries a few ulps of 1 there."""
 
     @staticmethod
     def _check(alpha, beta, m):
@@ -71,7 +79,7 @@ class TestLogNormalizer:
 
     @settings(max_examples=60, deadline=None)
     @given(beta=st.one_of(st.just(1.0), st.floats(1.0, 10.0, exclude_min=True)),
-           m=_log_uniform(0.01, 5000.0))
+           m=_log_uniform(1e-3, 5000.0))
     def test_alpha_1(self, beta, m):
         self._check(1.0, beta, m)
 
@@ -84,6 +92,21 @@ class TestLogNormalizer:
     @given(m=_log_uniform(0.01, 60.0))
     def test_alpha_half(self, m):
         self._check(0.5, 1.0, m)
+
+
+class TestPastMaxTerms:
+    """Points whose window needs more than max_terms = 10 000 terms, 1.02e4
+    to 2.18e4, raise the typed error that names max_terms, where the closed
+    form gives a finite log Z. A window centred on the terms' peak (ROADMAP
+    item 1) turns each point into a value check against the closed form."""
+
+    @pytest.mark.parametrize("alpha, beta, m, log_z", [
+        (1.0, 1.0, 9300.0, 9300.0), (1.0, 3.7, 2e4, 19973.3), (0.5, 1.0, 100.0, 10000.7),
+        (2.0, 1.0, 4e8, 19999.3), (2.0, 2.0, 1e9, 31611.7)])
+    def test_raises_where_the_closed_form_is_finite(self, alpha, beta, m, log_z):
+        assert closed_forms.log_normalizer(alpha, beta, m) == pytest.approx(log_z, abs=0.05)
+        with pytest.raises(NonConvergenceError, match="more than max_terms = 10000"):
+            new_wright_poisson(alpha, beta, m)
 
 
 # the four families at rates from 0.01 up to the largest whose window fits

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import warnings
+from decimal import Decimal
 
 import mpmath
 import numpy as np
@@ -716,6 +717,17 @@ class TestArguments:
             warnings.simplefilter("error")
             assert d.log_pmf(r) == -math.inf
             assert d.pmf(r) == 0.0
+
+    @pytest.mark.parametrize("value", [Decimal("0.5"), np.array(0.5), Decimal("1"), np.array(1.0)],
+                             ids=["Decimal-0.5", "0-d-array-0.5", "Decimal-1", "0-d-array-1"])
+    @pytest.mark.parametrize("query, name", [("log_pmf", "r"), ("pmf", "r"), ("cdf", "r"),
+                                             ("quantile", "p")])
+    def test_query_rejects_a_value_in_range_that_is_not_real(self, query, name, value):
+        # float() takes a Decimal and a 0-d array; the rule rejects them even
+        # where the value they hold is in range
+        d = new_wright_poisson(1.0, 1.0, 3.0)
+        with pytest.raises(DomainError, match=f"^{name} must be a real number, got "):
+            getattr(d, query)(value)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf])
     def test_cdf_needs_a_finite_r(self, r):

@@ -342,6 +342,13 @@ class TestSizedFirstBlock:
                         logt = k * math.log(z) - sc.gammaln(a * k + b)
                         assert logt[-1] <= logt.max() - drop, (a, b, z, drop)
 
+    @pytest.mark.parametrize("beta", [1e20, 1e305])
+    def test_first_fall_at_large_beta(self, beta):
+        # alpha + beta rounds to beta, so ln Gamma(alpha + beta) - ln Gamma(beta)
+        # reads 0 or an ulp; the terms fall from k = 0 by at least psi(beta),
+        # 46 and 702 nats a step, so 40 nats lie within two terms
+        assert special._term_window(1.0, beta, 0.0, 40.0) < 2.0
+
 
 class TestSeriesControl:
     def test_settable_fields(self):

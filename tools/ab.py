@@ -17,9 +17,9 @@ untyped exception to a ``DomainError`` is counted as newly typed. The
 Python, numpy and scipy versions of each subprocess are printed.
 
 The design depends only on its seed and size, not on the code under test,
-and reads nothing from the network. ``small`` (1115 records) runs in about
-a second per tree, ``full`` (12 323 records, the default) in a few seconds
-and ``large`` (412 347 records) in about 40 seconds. The exit status is
+and reads nothing from the network. ``small`` (1191 records) runs in about
+a second per tree, ``full`` (12 399 records, the default) in a few seconds
+and ``large`` (412 423 records) in about 40 seconds. The exit status is
 0 when every record matches and 1 otherwise.
 
 ``--time`` times the bench's ``fit`` and ``query_hot`` ops (from
@@ -59,8 +59,10 @@ SIZES = {"small": (4, 1), "full": (200, 6), "large": (7000, 20)}
 FIXED_POINTS = [(0.1, 0.1, 0.5), (10.0, 10.0, 200.0), (0.5, 2.0, 30.0), (1.0, 1.0, 4.0),
                 (0.8, 1.2, 30.0), (3.0, 0.3, 150.0), (1.0, 1.0, 1e-6)]
 # arguments outside the domain, given in turn to every argument of every entry point
+# (a Decimal and a 0-d array both inside and outside [0, 1), since float() takes them)
 BAD_ARGUMENTS = {"'1'": "1", "None": None, "1+2j": 1 + 2j, "Decimal('1')": Decimal("1"),
-                 "np.array(1.0)": np.array(1.0), "nan": math.nan, "inf": math.inf,
+                 "Decimal('0.5')": Decimal("0.5"), "np.array(1.0)": np.array(1.0),
+                 "np.array(0.5)": np.array(0.5), "nan": math.nan, "inf": math.inf,
                  "-1": -1, "0": 0, "10**400": 10**400, "2.5": 2.5, "1e6": 1e6}
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 # the timed workloads, the bench seed of their inputs and the op index of
